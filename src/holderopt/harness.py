@@ -162,12 +162,12 @@ def build_problem(config: ExperimentConfig):
         )
         problem = as_minmin_problem(gan)
         x0 = theta0 if config.x0 is None else config.x0
-        return problem, x0
-    problem = _problems.get_problem(config.problem)
-    x0 = problem.x0_default if config.x0 is None else config.x0
-    if x0 is None:
-        raise ValueError(f"problem {config.problem!r} has no default start; set x0")
-    return problem, np.atleast_1d(np.asarray(x0, dtype=float))
+    else:
+        problem = _problems.get_problem(config.problem)
+        x0 = problem.x0_default if config.x0 is None else config.x0
+        if x0 is None:
+            raise ValueError(f"problem {config.problem!r} has no default start; set x0")
+    return problem, problem.start_point(x0)
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None):

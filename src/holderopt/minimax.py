@@ -130,6 +130,7 @@ def minmax_backtrack(
     inherited across iterations and never decreases.
     """
     _require(problem, "min-max", "minmax_backtrack")
+    x0 = problem.start_point(x0)
     params = params or BacktrackParams()
     stop = stop or StopRule()
     records, status = _backtracking_loop(
@@ -158,6 +159,7 @@ def minmin_backtrack_nonmonotone(
     accepted step still satisfies the plain ``delta`` sufficient decrease.
     """
     _require(problem, "min-min", "minmin_backtrack_nonmonotone")
+    x0 = problem.start_point(x0)
     params = params or BacktrackParams(delta_plus=0.95)
     if params.delta_plus is None:
         raise ValueError("minmin_backtrack_nonmonotone needs params.delta_plus")
@@ -183,6 +185,7 @@ def minmin_armijo_nonmonotone(
 ) -> MinMaxTrajectory:
     """As :func:`minmin_backtrack_nonmonotone` with the plain geometric step gamma * alpha**k."""
     _require(problem, "min-min", "minmin_armijo_nonmonotone")
+    x0 = problem.start_point(x0)
     params = params or BacktrackParams(delta_plus=0.95)
     if params.delta_plus is None:
         raise ValueError("minmin_armijo_nonmonotone needs params.delta_plus")
@@ -220,11 +223,11 @@ def minmax_heuristic(
         raise ValueError(f"minmax_heuristic expects a min-max problem, got {problem.sense}")
     if problem.approx_response is None:
         raise ValueError("minmax_heuristic needs an approx_response oracle")
+    x = problem.start_point(x0)
     params = params or BacktrackParams()
     budget = budget or InnerAscentBudget()
     stop = stop or StopRule()
 
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
     y_prev = None
     records = []
     calls = 0
@@ -283,6 +286,7 @@ def minmax_constant(
     """
     if not (gamma > 0 and np.isfinite(gamma)):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    x0 = problem.start_point(x0)
     stop = stop or StopRule()
     if problem.best_response is not None:
         evaluate = _exact_eval(problem)

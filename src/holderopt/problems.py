@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 Array = np.ndarray
 
@@ -91,6 +90,14 @@ class MinMaxProblem:
             raise ValueError(f"sense must be 'min-max' or 'min-min', got {self.sense!r}")
         if self.best_response is None and self.approx_response is None:
             raise ValueError("problem needs at least one inner oracle")
+
+    def start_point(self, x0) -> Array:
+        """``x0`` as a float vector; raises ValueError unless it has ``dim_x`` entries."""
+        x = np.atleast_1d(np.asarray(x0, dtype=float))
+        if x.shape != (self.dim_x,):
+            name = f" {self.name}" if self.name else ""
+            raise ValueError(f"start point for problem{name} must have shape ({self.dim_x},), got {x.shape}")
+        return x
 
 
 class ValueFunctionView(SmoothObjective):
@@ -304,6 +311,9 @@ def estimate_holder_constants(
     rng = np.random.default_rng(seed)
     points = lo + (hi - lo) * rng.random((samples, obj.dim))
     grads = np.array([obj.eval(p)[1] for p in points])
+
+    # scipy takes about 0.5 s to import; keep it off the `import holderopt` path
+    from scipy.spatial.distance import pdist
 
     dx = pdist(points)
     dg = pdist(grads)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 
 class SinkhornError(RuntimeError):
@@ -51,6 +50,40 @@ def _check_cost(cost) -> np.ndarray:
     return C
 
 
+def _logsumexp(a, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis`` of a real 2-d array, overwriting ``a``.
+
+    Same arithmetic as ``scipy.special.logsumexp`` (scipy 1.17), the log1p
+    form of Blanchard, Higham & Higham, "Accurately computing the log-sum-exp
+    and softmax functions", IMA J. Numer. Anal. 41(4), 2021: the maxima are
+    taken out of the sum, so the result is bit-identical to scipy's without
+    its per-call overhead.
+    """
+    a_max = a.max(axis=axis, keepdims=True)
+    finite = np.isfinite(a_max)
+    if not finite.all():
+        # a line whose maximum is +-inf or nan sums to exactly that maximum
+        out = _logsumexp(np.where(finite, a, 0.0), axis)
+        return np.where(finite.reshape(-1), out, a_max.reshape(-1))
+    a -= a_max
+    top = a == 0.0  # the maxima, now exactly zero
+    np.exp(a, out=a)
+    np.copyto(a, 0.0, where=top)  # they enter the result as m, not in the sum
+    s = a.sum(axis=axis, keepdims=True)
+    if np.count_nonzero(top) == top.shape[1 - axis]:
+        # one maximum per line: m == 1, so s / m == s and log(m) == +0
+        return (np.log1p(s) + a_max).reshape(-1)
+    m = top.sum(axis=axis, keepdims=True, dtype=float)
+    return (np.log1p(s / m) + np.log(m) + a_max).reshape(-1)
+
+
+def _half_sweep(potential, C, epsilon, work, axis: int) -> np.ndarray:
+    """-eps * logsumexp((potential - C) / eps) along ``axis``, formed in ``work``."""
+    np.subtract(potential, C, out=work)
+    np.divide(work, epsilon, out=work)
+    return -epsilon * _logsumexp(work, axis)
+
+
 def entropic_objective(plan, cost, epsilon: float) -> float:
     """<P, C> + eps * sum P log P with the 0 log 0 = 0 convention."""
     P = np.asarray(plan, dtype=float)
@@ -79,14 +112,15 @@ def sinkhorn_solve(cost, epsilon: float, tol: float = 1e-9, max_sweeps: int = 10
     n = C.shape[0]
     v = np.zeros(n)
     duals = []
-    row_lse = -epsilon * logsumexp((v[None, :] - C) / epsilon, axis=1)
+    work = np.empty_like(C)
+    row_lse = _half_sweep(v[None, :], C, epsilon, work, axis=1)
     err = np.inf
     for sweep in range(1, max_sweeps + 1):
         u = row_lse  # exact row scaling for the current v
-        v = -epsilon * logsumexp((u[:, None] - C) / epsilon, axis=0)
+        v = _half_sweep(u[:, None], C, epsilon, work, axis=0)
         # row sums of the current plan come free from the next row update:
         # sum_j P_ij = exp((u_i - u_next_i) / eps)
-        row_lse = -epsilon * logsumexp((v[None, :] - C) / epsilon, axis=1)
+        row_lse = _half_sweep(v[None, :], C, epsilon, work, axis=1)
         row_sums = np.exp(np.minimum((u - row_lse) / epsilon, 700.0))
         duals.append(u.sum() + v.sum() + epsilon * (n - row_sums.sum()))
         err = float(np.max(np.abs(row_sums - 1.0)))

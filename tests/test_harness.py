@@ -177,6 +177,12 @@ def test_build_problem_defaults_and_override():
         build_problem(ExperimentConfig(problem="bogus"))
 
 
+@pytest.mark.parametrize("problem", ["quadratic_saddle:8", "sinkhorn_gan"])
+def test_build_problem_rejects_wrong_length_start(problem):
+    with pytest.raises(ValueError, match=r"must have shape \(\d+,\), got \(3,\)"):
+        build_problem(ExperimentConfig(problem=problem, sample_size=4, x0=[1.0, 2.0, 3.0]))
+
+
 def test_build_gan_problem_dims_and_default_epsilon():
     cfg = ExperimentConfig(problem="sinkhorn_gan", sample_size=16, sinkhorn_tol=1e-7)
     problem, theta0 = build_problem(cfg)
@@ -299,3 +305,11 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["--config", str(tmp_path / "missing.cfg")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_wrong_length_start_exits_2(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text("problem = quadratic_saddle:8\nx0 = 1,2,3\n")
+    assert main(["--config", str(path), "--out", str(tmp_path / "runs")]) == 2
+    assert "error: start point for problem quadratic_saddle:8 must have shape (8,)" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()

@@ -257,6 +257,21 @@ def test_constant_driver_with_approx_oracle_only():
     assert np.linalg.norm(traj.final_x) <= 1e-3
 
 
+@pytest.mark.parametrize(
+    "maker, run",
+    [
+        (make_quadratic_saddle, minmax_backtrack),
+        (make_quadratic_minmin, minmin_backtrack_nonmonotone),
+        (make_quadratic_minmin, minmin_armijo_nonmonotone),
+        (make_quadratic_saddle, minmax_heuristic),
+        (make_quadratic_saddle, lambda prob, x0: minmax_constant(prob, x0, gamma=0.1)),
+    ],
+)
+def test_drivers_reject_wrong_length_start(maker, run):
+    with pytest.raises(ValueError, match=r"shape \(8,\), got \(3,\)"):
+        run(maker(8), np.ones(3))
+
+
 def test_inner_budget_validation():
     with pytest.raises(ValueError):
         InnerAscentBudget(steps=0)

@@ -1,8 +1,13 @@
 """Oracles, value functions, and certificate estimation."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import holderopt
 from holderopt import (
     HolderCertificate,
     MinMaxProblem,
@@ -241,3 +246,12 @@ def test_estimate_constants_rejects_bad_input():
         estimate_holder_constants(obj, [(-1.0, 1.0)], samples=1)
     with pytest.raises(ValueError, match="region"):
         estimate_holder_constants(obj, [(-1.0, 1.0), (0.0, 1.0)])
+
+
+def test_import_loads_no_scipy():
+    """scipy is only needed by estimate_holder_constants, which imports it on use."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(holderopt.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, holderopt; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

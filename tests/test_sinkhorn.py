@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.special import logsumexp
 
 from holderopt import (
     SinkhornError,
@@ -11,6 +12,7 @@ from holderopt import (
     sinkhorn_grad_cost,
     sinkhorn_solve,
 )
+from holderopt.sinkhorn import _logsumexp
 
 SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -142,3 +144,81 @@ def test_solve_is_deterministic():
     b = sinkhorn_solve(C, epsilon=0.2)
     np.testing.assert_array_equal(a.plan, b.plan)
     assert a.sweeps == b.sweeps
+
+
+# ------------------------------------------- bit identity with scipy logsumexp
+
+
+def reference_solve(C, epsilon, tol=1e-9, max_sweeps=100_000):
+    """The sweep loop written directly on scipy.special.logsumexp."""
+    n = C.shape[0]
+    v = np.zeros(n)
+    duals = []
+    row_lse = -epsilon * logsumexp((v[None, :] - C) / epsilon, axis=1)
+    for sweep in range(1, max_sweeps + 1):
+        u = row_lse
+        v = -epsilon * logsumexp((u[:, None] - C) / epsilon, axis=0)
+        row_lse = -epsilon * logsumexp((v[None, :] - C) / epsilon, axis=1)
+        row_sums = np.exp(np.minimum((u - row_lse) / epsilon, 700.0))
+        duals.append(u.sum() + v.sum() + epsilon * (n - row_sums.sum()))
+        err = float(np.max(np.abs(row_sums - 1.0)))
+        if err <= tol:
+            P = np.exp((u[:, None] + v[None, :] - C) / epsilon)
+            marginal_error = max(
+                float(np.max(np.abs(P.sum(axis=1) - 1.0))),
+                float(np.max(np.abs(P.sum(axis=0) - 1.0))),
+            )
+            if marginal_error <= tol:
+                return P, u, v, np.array(duals), sweep
+            err = marginal_error
+    raise SinkhornError("reference solve did not converge", err)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
+@pytest.mark.parametrize("eps", [0.2, 0.02])
+@pytest.mark.parametrize("grid_cost", [False, True])
+def test_solve_is_bit_identical_to_scipy_reference(n, eps, grid_cost):
+    rng = np.random.default_rng(100 + n)
+    # costs on a 0.1 grid tie the row and column maxima of (potential - C) / eps
+    C = 0.1 * rng.integers(0, 4, (n, n)) if grid_cost else 0.2 * rng.random((n, n))
+    plan, u, v, duals, sweeps = reference_solve(C, eps)
+    result = sinkhorn_solve(C, eps)
+    np.testing.assert_array_equal(result.plan, plan)
+    np.testing.assert_array_equal(result.dual_row, u)
+    np.testing.assert_array_equal(result.dual_col, v)
+    np.testing.assert_array_equal(result.dual_values, duals)
+    assert result.sweeps == sweeps
+
+
+def test_unconverged_solve_is_bit_identical_to_scipy_reference():
+    C = np.random.default_rng(105).random((5, 5)) * 2.0
+    with pytest.raises(SinkhornError) as expected:
+        reference_solve(C, 0.02, max_sweeps=300)
+    with pytest.raises(SinkhornError) as info:
+        sinkhorn_solve(C, 0.02, max_sweeps=300)
+    assert info.value.marginal_error == expected.value.marginal_error
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_logsumexp_matches_scipy_with_ties(axis):
+    rng = np.random.default_rng(21)
+    a = rng.integers(-3, 3, (40, 40)).astype(float)
+    a[3] = 2.0  # a whole line of maxima
+    b = rng.normal(size=(40, 40)) * 30.0
+    for x in (a, b, a / 7.0):
+        np.testing.assert_array_equal(_logsumexp(x.copy(), axis), logsumexp(x, axis=axis))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_logsumexp_matches_scipy_off_the_finite_range(axis):
+    a = np.array([[0.0, -np.inf, 1.0], [-np.inf, -np.inf, -np.inf], [np.inf, 0.0, -np.inf], [np.nan, 1.0, 2.0]])
+    x = a if axis == 1 else a.T
+    with np.errstate(invalid="ignore"):
+        expected = logsumexp(x, axis=axis)
+    np.testing.assert_array_equal(_logsumexp(x.copy(), axis), expected)
+
+
+def test_extreme_epsilon_still_raises():
+    C = np.random.default_rng(4).random((4, 4))
+    with pytest.raises(SinkhornError):
+        sinkhorn_solve(C, epsilon=1e-300, max_sweeps=50)
