@@ -6,6 +6,9 @@ Examples:
     holderopt --config exp.cfg --seed 7 --out runs
     holderopt --problem sinkhorn_gan --algo "constant:0.05,nonmonotone_holder" --out runs
 
+A ``sinkhorn_gan`` run whose config sets neither ``max_iters`` nor
+``max_oracle_calls`` stops after 300 oracle calls, the paper's comparison budget.
+
 With several comma-separated algorithms the runs share problem, seed, and
 parameters, and a comparison SVG is written next to the per-run CSVs.
 """

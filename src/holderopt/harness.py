@@ -42,6 +42,9 @@ ALGORITHMS = (
 )
 
 GENERATOR_WIDTHS = (2, 64, 32, 16, 2)
+# the paper's comparison budget, for a sinkhorn_gan config that sets no bound:
+# the default StopRule's 100 000 iterations of Sinkhorn solves would take hours
+GAN_ORACLE_BUDGET = 300
 
 
 @dataclass
@@ -282,7 +285,11 @@ def parse_config_text(text: str) -> dict:
 
 
 def config_from_values(values: dict) -> ExperimentConfig:
-    """Assemble an ExperimentConfig from parsed key/value pairs."""
+    """Assemble an ExperimentConfig from parsed key/value pairs.
+
+    A ``sinkhorn_gan`` config that sets neither ``max_iters`` nor
+    ``max_oracle_calls`` stops after ``GAN_ORACLE_BUDGET`` oracle calls.
+    """
     param_fields = {}
     for name in ("alpha", "delta", "delta_plus", "rho", "k_max"):
         if name in values:
@@ -292,6 +299,8 @@ def config_from_values(values: dict) -> ExperimentConfig:
     params = BacktrackParams(**{"delta_plus": 0.95, **param_fields})
 
     stop_fields = {k: values[k] for k in ("grad_tol", "max_iters", "max_oracle_calls") if k in values}
+    if values.get("problem") == "sinkhorn_gan" and not {"max_iters", "max_oracle_calls"} & stop_fields.keys():
+        stop_fields["max_oracle_calls"] = GAN_ORACLE_BUDGET
     stop = StopRule(**stop_fields)
 
     inner_fields = {}

@@ -2,13 +2,16 @@
 
 Solves ``min_P <P, C> + eps * sum_ij P_ij log P_ij`` over nonnegative square
 plans whose rows and columns each sum to one (total mass n, not 1), by
-log-domain scaling sweeps on the dual potentials. The optimal plan is
-``P_ij = exp((u_i + v_j - C_ij) / eps)`` and is the gradient of the transport
-objective with respect to the cost matrix.
+scaling sweeps on a stabilized kernel: matrix-vector products on
+``exp((U_i + V_j - C_ij) / eps)``, with the scalings absorbed into the
+log-domain potentials ``U, V`` before they leave a fixed range. The optimal
+plan is ``P_ij = exp((u_i + v_j - C_ij) / eps)`` and is the gradient of the
+transport objective with respect to the cost matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +40,11 @@ class TransportPlan:
     marginal_error: float
     sweeps: int
     dual_values: np.ndarray
+
+
+# a kernel sweep keeps the scalings a and b within exp(+-_MAX_LOG_SCALING), so a
+# plan entry a_i K_ij b_j whose kernel entry underflows is below e^100 * 2.3e-308
+_MAX_LOG_SCALING = 50.0
 
 
 def _check_cost(cost) -> np.ndarray:
@@ -93,6 +101,14 @@ def entropic_objective(plan, cost, epsilon: float) -> float:
     return float(np.sum(P * C) + epsilon * np.sum(ent))
 
 
+def _kernel(U, V, C, epsilon, work) -> np.ndarray:
+    """K = exp((U_i + V_j - C_ij) / eps), formed in ``work``."""
+    np.add(U[:, None], V[None, :], out=work)
+    work -= C
+    work /= epsilon
+    return np.exp(work, out=work)
+
+
 def sinkhorn_solve(cost, epsilon: float, tol: float = 1e-9, max_sweeps: int = 100_000) -> TransportPlan:
     """Run scaling sweeps until both marginals are within ``tol`` in max norm.
 
@@ -100,6 +116,17 @@ def sinkhorn_solve(cost, epsilon: float, tol: float = 1e-9, max_sweeps: int = 10
     potentials, each an exact block maximization of the dual, so the recorded
     dual objective never decreases. Raises :class:`SinkhornError` if the
     tolerance is not reached within ``max_sweeps``.
+
+    The potentials are kept as base potentials ``U, V`` plus scalings
+    ``u = U + eps log a`` and ``v = V + eps log b``, so that a sweep is two
+    matrix-vector products with the kernel ``K = exp((U_i + V_j - C_ij) / eps)``.
+    ``U`` is always the exact row update for ``V``, so each row of ``K`` sums
+    to one and ``a = 1 / (K b)`` stays between ``1 / max b`` and ``1 / min b``.
+    A sweep whose ``b`` would leave ``exp(+-_MAX_LOG_SCALING)``, for example
+    where a column of ``K`` underflowed, runs in the log domain instead; its
+    potentials become the new ``U, V`` and ``K`` is rebuilt from them
+    (Schmitzer, "Stabilized sparse scaling algorithms for entropy regularized
+    transport problems", SIAM J. Sci. Comput. 41(3), 2019).
     """
     C = _check_cost(cost)
     if not (epsilon > 0 and np.isfinite(epsilon)):
@@ -110,21 +137,36 @@ def sinkhorn_solve(cost, epsilon: float, tol: float = 1e-9, max_sweeps: int = 10
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
 
     n = C.shape[0]
-    v = np.zeros(n)
-    duals = []
+    lo, hi = math.exp(-_MAX_LOG_SCALING), math.exp(_MAX_LOG_SCALING)
     work = np.empty_like(C)
-    row_lse = _half_sweep(v[None, :], C, epsilon, work, axis=1)
+    V = np.zeros(n)
+    U = _half_sweep(V[None, :], C, epsilon, work, axis=1)
+    K = _kernel(U, V, C, epsilon, work)
+    base = U.sum() + V.sum()
+    a, la = np.ones(n), np.zeros(n)
+    duals = []
     err = np.inf
     for sweep in range(1, max_sweeps + 1):
-        u = row_lse  # exact row scaling for the current v
-        v = _half_sweep(u[:, None], C, epsilon, work, axis=0)
-        # row sums of the current plan come free from the next row update:
-        # sum_j P_ij = exp((u_i - u_next_i) / eps)
-        row_lse = _half_sweep(v[None, :], C, epsilon, work, axis=1)
-        row_sums = np.exp(np.minimum((u - row_lse) / epsilon, 700.0))
-        duals.append(u.sum() + v.sum() + epsilon * (n - row_sums.sum()))
-        err = float(np.max(np.abs(row_sums - 1.0)))
+        col = a.dot(K)
+        kernel_sweep = lo <= col.min() and col.max() <= hi
+        if kernel_sweep:
+            b = 1.0 / col
+            Kb = K.dot(b)
+            # row sums of the current plan: sum_j P_ij = a_i (K b)_i
+            row_sums = a * Kb
+            lb = np.log(b)
+            duals.append(base + epsilon * (la.sum() + lb.sum() + n - row_sums.sum()))
+        else:
+            # b would leave its range: this sweep runs on the log-domain potentials
+            u = U + epsilon * la
+            v = _half_sweep(u[:, None], C, epsilon, work, axis=0)
+            row_lse = _half_sweep(v[None, :], C, epsilon, work, axis=1)
+            row_sums = np.exp(np.minimum((u - row_lse) / epsilon, 700.0))
+            duals.append(u.sum() + v.sum() + epsilon * (n - row_sums.sum()))
+        err = float(np.abs(row_sums - 1.0).max())
         if err <= tol:
+            if kernel_sweep:
+                u, v = U + epsilon * la, V + epsilon * lb
             P = np.exp((u[:, None] + v[None, :] - C) / epsilon)
             marginal_error = max(
                 float(np.max(np.abs(P.sum(axis=1) - 1.0))),
@@ -141,6 +183,14 @@ def sinkhorn_solve(cost, epsilon: float, tol: float = 1e-9, max_sweeps: int = 10
                     dual_values=np.array(duals),
                 )
             err = marginal_error
+        if kernel_sweep:
+            a = 1.0 / Kb
+            la = np.log(a)
+        else:
+            U, V = row_lse, v
+            K = _kernel(U, V, C, epsilon, work)
+            base = U.sum() + V.sum()
+            a, la = np.ones(n), np.zeros(n)
     raise SinkhornError(
         f"sinkhorn did not reach marginal tolerance {tol:g} within {max_sweeps} sweeps "
         f"(marginal error {err:.3e})",

@@ -150,6 +150,15 @@ def test_config_from_values_threads_fields():
     assert cfg.inner.steps == 7
 
 
+def test_gan_config_without_a_bound_gets_the_comparison_budget():
+    assert config_from_values({"problem": "sinkhorn_gan"}).stop.max_oracle_calls == 300
+    bounded = config_from_values({"problem": "sinkhorn_gan", "max_iters": 5})
+    assert bounded.stop.max_iters == 5
+    assert bounded.stop.max_oracle_calls == StopRule().max_oracle_calls
+    assert config_from_values({"problem": "sqrt"}).stop == StopRule()
+    assert ExperimentConfig(problem="sinkhorn_gan").stop == StopRule()
+
+
 def test_load_config_with_overrides(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("problem = sqrt\nalgorithm = backtrack_holder\nseed = 1\n")
@@ -298,6 +307,19 @@ def test_cli_config_file_and_seed_override(tmp_path, capsys):
     code = main(["--config", str(path), "--seed", "5", "--out", str(tmp_path)])
     assert code == 0
     assert "seed5" in capsys.readouterr().out
+
+
+def test_cli_gan_run_without_a_bound_stops_at_the_comparison_budget(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    # test 10's generator instance, with no max_iters or max_oracle_calls
+    path.write_text(
+        "problem = sinkhorn_gan\nalgorithm = nonmonotone_holder\n"
+        "sample_size = 8\nepsilon = 0.5\nsinkhorn_tol = 1e-7\n"
+    )
+    assert main(["--config", str(path), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "status=oracle_budget" in out
+    assert "oracle_calls=300 " in out
 
 
 def test_cli_errors_exit_2(tmp_path, capsys):

@@ -12,6 +12,7 @@ from holderopt import (
     sinkhorn_grad_cost,
     sinkhorn_solve,
 )
+from holderopt import sinkhorn as sinkhorn_module
 from holderopt.sinkhorn import _logsumexp
 
 SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -146,7 +147,27 @@ def test_solve_is_deterministic():
     assert a.sweeps == b.sweeps
 
 
-# ------------------------------------------- bit identity with scipy logsumexp
+# ------------------------------------------- agreement with a scipy reference
+
+# fixed from float64's eps before comparing: the scaling sweeps round
+# differently from the log-domain reference, which is otherwise the same loop
+ATOL = 1000 * np.finfo(float).eps
+
+
+def assert_close_relative(actual, expected):
+    """|actual - expected| <= ATOL * max(1, |expected|), entrywise."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.all(np.abs(actual - expected) <= ATOL * np.maximum(1.0, np.abs(expected)))
+
+
+def assert_matches_reference(result, C, eps, **solve_args):
+    plan, u, v, duals, sweeps = reference_solve(C, eps, **solve_args)
+    assert result.sweeps == sweeps
+    np.testing.assert_allclose(result.plan, plan, rtol=0, atol=ATOL)
+    assert_close_relative(result.dual_row, u)
+    assert_close_relative(result.dual_col, v)
+    assert_close_relative(result.dual_values, duals)
 
 
 def reference_solve(C, epsilon, tol=1e-9, max_sweeps=100_000):
@@ -178,25 +199,58 @@ def reference_solve(C, epsilon, tol=1e-9, max_sweeps=100_000):
 @pytest.mark.parametrize("eps", [0.2, 0.02])
 @pytest.mark.parametrize("grid_cost", [False, True])
 def test_solve_is_bit_identical_to_scipy_reference(n, eps, grid_cost):
+    """Plan, duals and dual trace within ATOL of the reference, and the same sweeps."""
     rng = np.random.default_rng(100 + n)
     # costs on a 0.1 grid tie the row and column maxima of (potential - C) / eps
     C = 0.1 * rng.integers(0, 4, (n, n)) if grid_cost else 0.2 * rng.random((n, n))
-    plan, u, v, duals, sweeps = reference_solve(C, eps)
-    result = sinkhorn_solve(C, eps)
-    np.testing.assert_array_equal(result.plan, plan)
-    np.testing.assert_array_equal(result.dual_row, u)
-    np.testing.assert_array_equal(result.dual_col, v)
-    np.testing.assert_array_equal(result.dual_values, duals)
-    assert result.sweeps == sweeps
+    assert_matches_reference(sinkhorn_solve(C, eps), C, eps)
 
 
 def test_unconverged_solve_is_bit_identical_to_scipy_reference():
+    """The same marginal error as the reference, within ATOL relative."""
     C = np.random.default_rng(105).random((5, 5)) * 2.0
     with pytest.raises(SinkhornError) as expected:
         reference_solve(C, 0.02, max_sweeps=300)
     with pytest.raises(SinkhornError) as info:
         sinkhorn_solve(C, 0.02, max_sweeps=300)
-    assert info.value.marginal_error == expected.value.marginal_error
+    assert_close_relative(info.value.marginal_error, expected.value.marginal_error)
+
+
+def count_half_sweeps(monkeypatch):
+    calls = []
+    half_sweep = sinkhorn_module._half_sweep
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("axis"))
+        return half_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(sinkhorn_module, "_half_sweep", counted)
+    return calls
+
+
+def test_underflowed_kernel_column_runs_a_log_domain_sweep(monkeypatch):
+    """The start's row potentials are at most 1, so the first kernel's column at
+    cost 400 is exp((U_i - 400) / 0.2) <= exp(-1995) == 0.0 and 1 / (K^T a) is inf."""
+    C = np.random.default_rng(31).random((3, 3))
+    C[:, 1] = 400.0
+    calls = count_half_sweeps(monkeypatch)
+    result = sinkhorn_solve(C, 0.2)
+    # the start's row update, then one log-domain column and row update
+    assert calls[:3] == [1, 0, 1]
+    assert_matches_reference(result, C, 0.2)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.05])
+def test_far_apart_clouds_rebuild_the_kernel(monkeypatch, eps):
+    """Two 48-point clouds 5 apart: the column scaling outgrows exp(50) and is absorbed."""
+    rng = np.random.default_rng(0)
+    x = 1.5 * rng.normal(size=(48, 2))
+    y = 1.5 * rng.normal(size=(48, 2)) + np.array([5.0, 0.0])
+    C = np.sqrt(((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1))
+    calls = count_half_sweeps(monkeypatch)
+    result = sinkhorn_solve(C, eps)
+    assert 0 in calls  # a log-domain column update ran
+    assert_matches_reference(result, C, eps)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
