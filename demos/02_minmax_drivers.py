@@ -68,7 +68,7 @@ minmin = make_quadratic_minmin(3)
 ntraj = minmin_backtrack_nonmonotone(minmin, [4.0, -2.0, 1.0])
 print("\nnon-monotone min-min driver (k starts at 1):")
 for r in ntraj.records[8:13]:
-    print(f"  n={r.n}  L={r.L_value:.4e}  step={r.step:.3f}  k={r.k}")
+    print(f"  n={r.n}  L={r.f_value:.4e}  step={r.step:.3f}  k={r.k}")
 print(f"  k sequence: {[int(v) for v in ntraj.ks[:16]]}")
 print("  once decreases come in comfortably ahead of the test, k drops a")
 print("  notch and the cheaper step sticks")

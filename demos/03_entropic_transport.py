@@ -11,7 +11,7 @@ not underflow.
 
 import numpy as np
 
-from holderopt import sinkhorn_divergence, sinkhorn_grad_cost, sinkhorn_solve
+from holderopt import sinkhorn_divergence, sinkhorn_solve
 
 ###############################################################################
 # The two-point swap cost has a closed form: the diagonal weight is the
@@ -61,7 +61,7 @@ print(f"marginal error at exit: {result.marginal_error:.2e}")
 # matrix, which is what the generator training loop differentiates through.
 # Check one entry against a central difference.
 
-plan = sinkhorn_grad_cost(result)
+plan = result.plan
 h = 1e-5
 Cp, Cm = C.copy(), C.copy()
 Cp[2, 3] += h

@@ -13,6 +13,8 @@ import numpy as np
 from holderopt import (
     GanObjective,
     MlpSpec,
+    ValueFunctionView,
+    as_minmin_problem,
     default_mixture,
     init_params,
     mlp_backward,
@@ -64,6 +66,6 @@ print(f"grad[{i}] = {grad[i]:.8f}, finite difference {fd:.8f}")
 data = sample_data(default_mixture(), 32, seed=0)
 latents = sample_latents(32, seed=0)
 gan = GanObjective(spec, latents, data, epsilon=0.3, sinkhorn_tol=1e-7)
-value, g = gan.loss_and_grad(theta)
+value, g = ValueFunctionView(as_minmin_problem(gan)).eval(theta)
 print(f"\ninitial divergence: {value:.4f}")
 print(f"gradient norm in theta: {np.linalg.norm(g):.4f} over {g.size} coordinates")

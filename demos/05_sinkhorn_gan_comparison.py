@@ -40,7 +40,7 @@ results = compare_and_plot(configs, f"{out_dir}/generator_comparison.svg", out_d
 
 print(f"{'run':<44} {'final loss':>10} {'best seen':>10} {'calls':>6}")
 for run_id, traj in results:
-    print(f"{run_id:<44} {traj.L_values[-1]:>10.4f} {traj.L_values.min():>10.4f} "
+    print(f"{run_id:<44} {traj.f_values[-1]:>10.4f} {traj.f_values.min():>10.4f} "
           f"{int(traj.oracle_calls[-1]):>6}")
 
 print(f"\nwrote {out_dir}/generator_comparison.svg and one CSV per run")

@@ -51,8 +51,6 @@ from .harness import (
 )
 from .minimax import (
     InnerAscentBudget,
-    MinMaxRecord,
-    MinMaxTrajectory,
     minmax_backtrack,
     minmax_constant,
     minmax_heuristic,
@@ -76,7 +74,6 @@ from .sinkhorn import (
     TransportPlan,
     entropic_objective,
     sinkhorn_divergence,
-    sinkhorn_grad_cost,
     sinkhorn_solve,
 )
 

@@ -16,6 +16,7 @@ parameters, and a comparison SVG is written next to the per-run CSVs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -25,18 +26,16 @@ from .harness import (
     compare_and_plot,
     config_from_values,
     load_config,
-    objective_series,
-    replace_config,
     run_experiment,
 )
 from .sinkhorn import SinkhornError
 
 
 def _summary(run_id: str, traj) -> str:
-    calls, values = objective_series(traj)
+    last = traj.records[-1]
     return (
-        f"{run_id}: status={traj.terminal_status} iterations={traj.records[-1].n} "
-        f"oracle_calls={int(calls[-1])} objective={values[-1]:.6g}"
+        f"{run_id}: status={traj.terminal_status} iterations={last.n} "
+        f"oracle_calls={int(last.oracle_calls)} objective={last.f_value:.6g}"
     )
 
 
@@ -68,11 +67,11 @@ def main(argv=None) -> int:
             raise ValueError("--algo must name at least one algorithm")
 
         if len(algos) == 1:
-            config = replace_config(config, algorithm=algos[0])
+            config = dataclasses.replace(config, algorithm=algos[0])
             traj = run_experiment(config, out_dir=args.out)
             print(_summary(config.run_id(), traj))
         else:
-            configs = [replace_config(config, algorithm=a) for a in algos]
+            configs = [dataclasses.replace(config, algorithm=a) for a in algos]
             svg_path = os.path.join(args.out, "comparison.svg")
             results = compare_and_plot(configs, svg_path, out_dir=args.out)
             for run_id, traj in results:

@@ -8,9 +8,13 @@ Two families live here:
   adapt a trial exponent ``k`` online, never resetting it, so the per-iteration
   search cost stays bounded by :func:`k_bound`.
 
-The shared search loop is also used by :mod:`holderopt.minimax`, which keeps
-the plain descent driver and the exact-oracle min-max driver in bitwise
-lockstep.
+Every driver here and in :mod:`holderopt.minimax` returns a
+:class:`Trajectory` of :class:`TrajectoryRecord` entries. The exact-oracle
+min-max and min-min drivers hand
+:meth:`holderopt.problems.MinMaxProblem.value_and_grad` to the search loops
+below, and :class:`holderopt.problems.ValueFunctionView` evaluates through
+that same method, so plain descent on the value function and the min-max
+driver agree bit for bit by construction.
 """
 
 from __future__ import annotations
@@ -127,8 +131,12 @@ def write_csv_atomic(path, header: str, rows) -> None:
 
 @dataclass
 class Trajectory:
+    """Records of one run. ``csv_header`` names the CSV columns; the min-max
+    drivers pass :data:`holderopt.minimax.MINMAX_CSV_HEADER`."""
+
     records: list
     terminal_status: str
+    csv_header: str = CSV_HEADER
 
     def __len__(self):
         return len(self.records)
@@ -158,7 +166,7 @@ class Trajectory:
             (str(r.n), str(r.oracle_calls), _fmt(r.f_value), _fmt(r.grad_norm), _fmt(r.step), str(r.k))
             for r in self.records
         )
-        write_csv_atomic(path, CSV_HEADER, rows)
+        write_csv_atomic(path, self.csv_header, rows)
 
 
 def sufficient_decrease_threshold(f_value: float, delta: float, step: float, grad_norm: float) -> float:
@@ -221,32 +229,38 @@ def _check_finite(value: float, grad: np.ndarray, iteration: int) -> None:
         raise NumericError("oracle returned a non-finite value or gradient", iteration)
 
 
-def _fixed_rule_loop(evaluate, x0, stop: StopRule, step_of: Callable[[float], float], make_record):
+def _stop_status(stop: StopRule, grad_norm: float, n: int, calls: int) -> Optional[str]:
+    """The terminal status that ``stop`` assigns at the start of iteration ``n``, if any."""
+    if grad_norm <= stop.grad_tol:
+        return CONVERGED
+    if n >= stop.max_iters:
+        return ITER_BUDGET
+    if calls >= stop.max_oracle_calls:
+        return ORACLE_BUDGET
+    return None
+
+
+def _fixed_rule_loop(evaluate, x0, stop: StopRule, step_of: Callable[[float], float]):
     """Driver loop for step rules with no search: one eval per iteration."""
     x = np.atleast_1d(np.asarray(x0, dtype=float))
-    value, grad, extra = evaluate(x)
+    value, grad = evaluate(x)
     calls = 1
     _check_finite(value, grad, 0)
     records = []
     n = 0
     while True:
         gn = float(np.linalg.norm(grad))
-        if gn <= stop.grad_tol:
-            records.append(make_record(n, calls, x, extra, value, gn, 0.0, 0))
-            return records, CONVERGED
-        if n >= stop.max_iters:
-            records.append(make_record(n, calls, x, extra, value, gn, 0.0, 0))
-            return records, ITER_BUDGET
-        if calls >= stop.max_oracle_calls:
-            records.append(make_record(n, calls, x, extra, value, gn, 0.0, 0))
-            return records, ORACLE_BUDGET
+        status = _stop_status(stop, gn, n, calls)
+        if status is not None:
+            records.append(TrajectoryRecord(n, calls, np.array(x), value, gn, 0.0, 0))
+            return records, status
         step = step_of(gn)
         x_next = x - step * grad
-        value_next, grad_next, extra_next = evaluate(x_next)
+        value_next, grad_next = evaluate(x_next)
         calls += 1
         _check_finite(value_next, grad_next, n + 1)
-        records.append(make_record(n, calls, x, extra, value, gn, step, 0))
-        x, value, grad, extra = x_next, value_next, grad_next, extra_next
+        records.append(TrajectoryRecord(n, calls, np.array(x), value, gn, step, 0))
+        x, value, grad = x_next, value_next, grad_next
         n += 1
 
 
@@ -258,11 +272,10 @@ def _backtracking_loop(
     step_fn: Callable[[int, float], float],
     k_init: int,
     nonmonotone: bool,
-    make_record,
 ):
     """Shared search loop.
 
-    ``evaluate(x) -> (value, grad, extra)`` costs one oracle call. The trial
+    ``evaluate(x) -> (value, grad)`` costs one oracle call. The trial
     exponent ``k`` persists across iterations (never reset). In the
     non-monotone mode each iteration first tests the inherited step against the
     stronger ``delta_plus`` threshold and, on success with k > 0, decrements k
@@ -272,7 +285,7 @@ def _backtracking_loop(
     if nonmonotone and params.delta_plus is None:
         raise ValueError("non-monotone mode needs params.delta_plus")
     x = np.atleast_1d(np.asarray(x0, dtype=float))
-    value, grad, extra = evaluate(x)
+    value, grad = evaluate(x)
     calls = 1
     _check_finite(value, grad, 0)
     records = []
@@ -280,19 +293,14 @@ def _backtracking_loop(
     n = 0
     while True:
         gn = float(np.linalg.norm(grad))
-        if gn <= stop.grad_tol:
-            records.append(make_record(n, calls, x, extra, value, gn, 0.0, k))
-            return records, CONVERGED
-        if n >= stop.max_iters:
-            records.append(make_record(n, calls, x, extra, value, gn, 0.0, k))
-            return records, ITER_BUDGET
-        if calls >= stop.max_oracle_calls:
-            records.append(make_record(n, calls, x, extra, value, gn, 0.0, k))
-            return records, ORACLE_BUDGET
+        status = _stop_status(stop, gn, n, calls)
+        if status is not None:
+            records.append(TrajectoryRecord(n, calls, np.array(x), value, gn, 0.0, k))
+            return records, status
 
         step = step_fn(k, gn)
         trial = x - step * grad
-        t_value, t_grad, t_extra = evaluate(trial)
+        t_value, t_grad = evaluate(trial)
         calls += 1
         _check_finite(t_value, t_grad, n)
 
@@ -308,7 +316,7 @@ def _backtracking_loop(
             else:
                 step = step_fn(k, gn)
                 trial = x - step * grad
-                t_value, t_grad, t_extra = evaluate(trial)
+                t_value, t_grad = evaluate(trial)
                 calls += 1
                 _check_finite(t_value, t_grad, n)
 
@@ -322,29 +330,17 @@ def _backtracking_loop(
                 break
             step = step_fn(k, gn)
             trial = x - step * grad
-            t_value, t_grad, t_extra = evaluate(trial)
+            t_value, t_grad = evaluate(trial)
             calls += 1
             _check_finite(t_value, t_grad, n)
 
         if out_of is not None:
-            records.append(make_record(n, calls, x, extra, value, gn, 0.0, k))
+            records.append(TrajectoryRecord(n, calls, np.array(x), value, gn, 0.0, k))
             return records, out_of
 
-        records.append(make_record(n, calls, x, extra, value, gn, step, k))
-        x, value, grad, extra = trial, t_value, t_grad, t_extra
+        records.append(TrajectoryRecord(n, calls, np.array(x), value, gn, step, k))
+        x, value, grad = trial, t_value, t_grad
         n += 1
-
-
-def _plain_record(n, calls, x, extra, value, gn, step, k):
-    return TrajectoryRecord(n, calls, np.array(x), value, gn, step, k)
-
-
-def _objective_eval(obj: SmoothObjective):
-    def evaluate(x):
-        value, grad = obj.eval(x)
-        return value, grad, None
-
-    return evaluate
 
 
 def holder_gd(
@@ -366,10 +362,7 @@ def holder_gd(
     stop = stop or StopRule()
     # validate gamma once up front so a bad range fails before any oracle call
     holder_step(1.0, cert, gamma)
-    records, status = _fixed_rule_loop(
-        _objective_eval(obj), x0, stop, lambda gn: holder_step(gn, cert, gamma), _plain_record
-    )
-    return Trajectory(records, status)
+    return Trajectory(*_fixed_rule_loop(obj.eval, x0, stop, lambda gn: holder_step(gn, cert, gamma)))
 
 
 def constant_gd(obj: SmoothObjective, x0, gamma: float, stop: Optional[StopRule] = None) -> Trajectory:
@@ -377,8 +370,7 @@ def constant_gd(obj: SmoothObjective, x0, gamma: float, stop: Optional[StopRule]
     if not (gamma > 0 and np.isfinite(gamma)):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     stop = stop or StopRule()
-    records, status = _fixed_rule_loop(_objective_eval(obj), x0, stop, lambda gn: gamma, _plain_record)
-    return Trajectory(records, status)
+    return Trajectory(*_fixed_rule_loop(obj.eval, x0, stop, lambda gn: gamma))
 
 
 def backtrack_holder_gd(
@@ -392,17 +384,8 @@ def backtrack_holder_gd(
     """
     params = params or BacktrackParams()
     stop = stop or StopRule()
-    records, status = _backtracking_loop(
-        _objective_eval(obj),
-        x0,
-        params,
-        stop,
-        lambda k, gn: backtrack_step(k, gn, params),
-        k_init=0,
-        nonmonotone=False,
-        make_record=_plain_record,
-    )
-    return Trajectory(records, status)
+    step_fn = lambda k, gn: backtrack_step(k, gn, params)
+    return Trajectory(*_backtracking_loop(obj.eval, x0, params, stop, step_fn, k_init=0, nonmonotone=False))
 
 
 def armijo_gd(
@@ -415,14 +398,5 @@ def armijo_gd(
     """
     params = params or BacktrackParams()
     stop = stop or StopRule()
-    records, status = _backtracking_loop(
-        _objective_eval(obj),
-        x0,
-        params,
-        stop,
-        lambda k, gn: params.gamma * params.alpha**k,
-        k_init=0,
-        nonmonotone=False,
-        make_record=_plain_record,
-    )
-    return Trajectory(records, status)
+    step_fn = lambda k, gn: params.gamma * params.alpha**k
+    return Trajectory(*_backtracking_loop(obj.eval, x0, params, stop, step_fn, k_init=0, nonmonotone=False))

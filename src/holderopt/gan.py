@@ -192,17 +192,6 @@ class GanObjective:
         upstream = Y * W.sum(axis=1)[:, None] - W @ self.data
         return mlp_backward(self.spec, theta, self.latents, upstream)
 
-    def loss_and_grad(self, theta) -> tuple[float, np.ndarray]:
-        C = self.cost(theta)
-        plan = sinkhorn_solve(C, self.epsilon, tol=self.sinkhorn_tol, max_sweeps=self.max_sweeps).plan
-        value = entropic_objective(plan, C, self.epsilon)
-        return value, self.plan_weighted_grad(theta, plan)
-
-    def divergence(self, theta) -> float:
-        C = self.cost(theta)
-        plan = sinkhorn_solve(C, self.epsilon, tol=self.sinkhorn_tol, max_sweeps=self.max_sweeps).plan
-        return entropic_objective(plan, C, self.epsilon)
-
 
 def as_minmin_problem(gan: GanObjective) -> MinMaxProblem:
     """The fitting problem as a min-min coupling: inner variable is the flat plan.

@@ -9,7 +9,6 @@ backtracking drivers spend an uneven number of inner solves per iteration.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -17,11 +16,10 @@ from typing import Optional
 import numpy as np
 
 from . import problems as _problems
-from .descent import BacktrackParams, StopRule, Trajectory, holder_gd
+from .descent import BacktrackParams, StopRule, holder_gd
 from .gan import GanObjective, MlpSpec, as_minmin_problem, init_params
 from .minimax import (
     InnerAscentBudget,
-    MinMaxTrajectory,
     minmax_backtrack,
     minmax_constant,
     minmax_heuristic,
@@ -176,8 +174,10 @@ def build_problem(config: ExperimentConfig):
 def run_experiment(config: ExperimentConfig, out_dir=None):
     """Run one configured driver; optionally write the trajectory CSV.
 
-    Returns the trajectory (a plain descent one for ``holder_known``, min-max
-    records otherwise). The CSV's x-axis column is ``oracle_calls``.
+    Every algorithm returns a :class:`holderopt.descent.Trajectory`; its CSV
+    uses the plain descent header for ``holder_known``, which runs
+    :func:`holderopt.descent.holder_gd` on the value-function view, and the
+    min-max header otherwise. The CSV's x-axis column is ``oracle_calls``.
     """
     problem, x0 = build_problem(config)
     algo = config.algorithm
@@ -202,13 +202,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     return traj
 
 
-def objective_series(traj):
-    """(oracle_calls, objective values) of a trajectory, whichever flavor it is."""
-    if isinstance(traj, Trajectory):
-        return traj.oracle_calls, traj.f_values
-    return traj.oracle_calls, traj.L_values
-
-
 def compare_and_plot(configs, out_path, out_dir=None, title: str = ""):
     """Run every config and render one polyline per run into an SVG.
 
@@ -222,9 +215,8 @@ def compare_and_plot(configs, out_path, out_dir=None, title: str = ""):
     curves = []
     for cfg in configs:
         traj = run_experiment(cfg, out_dir=out_dir)
-        calls, values = objective_series(traj)
         results.append((cfg.run_id(), traj))
-        curves.append((cfg.run_id(), calls, values))
+        curves.append((cfg.run_id(), traj.oracle_calls, traj.f_values))
     log_y = all(np.all(c[2] > 0) for c in curves)
     svg = render_comparison(curves, title=title, x_label="oracle calls", y_label="objective", log_y=log_y)
     write_svg(svg, out_path)
@@ -333,8 +325,3 @@ def load_config(path, **overrides) -> ExperimentConfig:
         values = parse_config_text(fh.read())
     values.update({k: v for k, v in overrides.items() if v is not None})
     return config_from_values(values)
-
-
-def replace_config(config: ExperimentConfig, **changes) -> ExperimentConfig:
-    """dataclasses.replace that re-runs validation."""
-    return dataclasses.replace(config, **changes)

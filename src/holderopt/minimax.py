@@ -2,10 +2,14 @@
 
 Every driver minimizes the value function g(x) = L(x, y*(x)) while only ever
 calling the problem's inner oracle; one oracle call is one unit of
-``oracle_calls`` regardless of how much work the inner solve does. The
-exact-oracle drivers reuse the search loop from :mod:`holderopt.descent`, so
-:func:`minmax_backtrack` reproduces :func:`holderopt.descent.backtrack_holder_gd`
-applied to the value-function view bit for bit.
+``oracle_calls`` regardless of how much work the inner solve does. Every driver
+returns a :class:`holderopt.descent.Trajectory` whose CSV carries
+:data:`MINMAX_CSV_HEADER`. The exact-oracle drivers hand
+:meth:`holderopt.problems.MinMaxProblem.value_and_grad` to the search loops of
+:mod:`holderopt.descent`; :class:`holderopt.problems.ValueFunctionView`
+evaluates through the same method, so :func:`minmax_backtrack` and
+:func:`holderopt.descent.backtrack_holder_gd` on the view run the same code on
+the same numbers.
 """
 
 from __future__ import annotations
@@ -22,14 +26,17 @@ from .descent import (
     K_CAP_EXCEEDED,
     ORACLE_BUDGET,
     StopRule,
+    Trajectory,
+    TrajectoryRecord,
     _backtracking_loop,
     _check_finite,
     _fixed_rule_loop,
     backtrack_step,
     sufficient_decrease_threshold,
-    write_csv_atomic,
-    _fmt,
 )
+
+# not called here; perfbench/tracing.py patches this name on this module to time CSV writes
+from .descent import write_csv_atomic  # noqa: F401
 from .problems import MinMaxProblem
 
 
@@ -48,67 +55,7 @@ class InnerAscentBudget:
             raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
 
 
-@dataclass
-class MinMaxRecord:
-    n: int
-    oracle_calls: int
-    x: np.ndarray
-    y: np.ndarray
-    L_value: float
-    grad_x_norm: float
-    step: float
-    k: int
-
-
 MINMAX_CSV_HEADER = "n,oracle_calls,L,grad_x_norm,step,k"
-
-
-@dataclass
-class MinMaxTrajectory:
-    records: list
-    terminal_status: str
-
-    def __len__(self):
-        return len(self.records)
-
-    @property
-    def L_values(self) -> np.ndarray:
-        return np.array([r.L_value for r in self.records])
-
-    @property
-    def grad_norms(self) -> np.ndarray:
-        return np.array([r.grad_x_norm for r in self.records])
-
-    @property
-    def oracle_calls(self) -> np.ndarray:
-        return np.array([r.oracle_calls for r in self.records])
-
-    @property
-    def ks(self) -> np.ndarray:
-        return np.array([r.k for r in self.records])
-
-    @property
-    def final_x(self) -> np.ndarray:
-        return self.records[-1].x
-
-    def to_csv(self, path) -> None:
-        rows = (
-            (str(r.n), str(r.oracle_calls), _fmt(r.L_value), _fmt(r.grad_x_norm), _fmt(r.step), str(r.k))
-            for r in self.records
-        )
-        write_csv_atomic(path, MINMAX_CSV_HEADER, rows)
-
-
-def _minmax_record(n, calls, x, y, value, gn, step, k):
-    return MinMaxRecord(n, calls, np.array(x), np.array(y), value, gn, step, k)
-
-
-def _exact_eval(problem: MinMaxProblem):
-    def evaluate(x):
-        y = problem.best_response(x)
-        return problem.loss(x, y), problem.grad_x(x, y), y
-
-    return evaluate
 
 
 def _require(problem: MinMaxProblem, sense: str, driver: str) -> None:
@@ -123,7 +70,7 @@ def minmax_backtrack(
     x0,
     params: Optional[BacktrackParams] = None,
     stop: Optional[StopRule] = None,
-) -> MinMaxTrajectory:
+) -> Trajectory:
     """Monotone backtracking on a min-max problem with an exact inner argmax.
 
     Each trial point costs one best-response call; the trial exponent is
@@ -133,17 +80,11 @@ def minmax_backtrack(
     x0 = problem.start_point(x0)
     params = params or BacktrackParams()
     stop = stop or StopRule()
+    step_fn = lambda k, gn: backtrack_step(k, gn, params)
     records, status = _backtracking_loop(
-        _exact_eval(problem),
-        x0,
-        params,
-        stop,
-        lambda k, gn: backtrack_step(k, gn, params),
-        k_init=0,
-        nonmonotone=False,
-        make_record=_minmax_record,
+        problem.value_and_grad, x0, params, stop, step_fn, k_init=0, nonmonotone=False
     )
-    return MinMaxTrajectory(records, status)
+    return Trajectory(records, status, MINMAX_CSV_HEADER)
 
 
 def minmin_backtrack_nonmonotone(
@@ -151,7 +92,7 @@ def minmin_backtrack_nonmonotone(
     x0,
     params: Optional[BacktrackParams] = None,
     stop: Optional[StopRule] = None,
-) -> MinMaxTrajectory:
+) -> Trajectory:
     """Non-monotone backtracking on a min-min problem with an exact inner argmin.
 
     The trial exponent starts at 1 and may decrease by one per outer iteration
@@ -161,20 +102,12 @@ def minmin_backtrack_nonmonotone(
     _require(problem, "min-min", "minmin_backtrack_nonmonotone")
     x0 = problem.start_point(x0)
     params = params or BacktrackParams(delta_plus=0.95)
-    if params.delta_plus is None:
-        raise ValueError("minmin_backtrack_nonmonotone needs params.delta_plus")
     stop = stop or StopRule()
+    step_fn = lambda k, gn: backtrack_step(k, gn, params)
     records, status = _backtracking_loop(
-        _exact_eval(problem),
-        x0,
-        params,
-        stop,
-        lambda k, gn: backtrack_step(k, gn, params),
-        k_init=1,
-        nonmonotone=True,
-        make_record=_minmax_record,
+        problem.value_and_grad, x0, params, stop, step_fn, k_init=1, nonmonotone=True
     )
-    return MinMaxTrajectory(records, status)
+    return Trajectory(records, status, MINMAX_CSV_HEADER)
 
 
 def minmin_armijo_nonmonotone(
@@ -182,25 +115,17 @@ def minmin_armijo_nonmonotone(
     x0,
     params: Optional[BacktrackParams] = None,
     stop: Optional[StopRule] = None,
-) -> MinMaxTrajectory:
+) -> Trajectory:
     """As :func:`minmin_backtrack_nonmonotone` with the plain geometric step gamma * alpha**k."""
     _require(problem, "min-min", "minmin_armijo_nonmonotone")
     x0 = problem.start_point(x0)
     params = params or BacktrackParams(delta_plus=0.95)
-    if params.delta_plus is None:
-        raise ValueError("minmin_armijo_nonmonotone needs params.delta_plus")
     stop = stop or StopRule()
+    step_fn = lambda k, gn: params.gamma * params.alpha**k
     records, status = _backtracking_loop(
-        _exact_eval(problem),
-        x0,
-        params,
-        stop,
-        lambda k, gn: params.gamma * params.alpha**k,
-        k_init=1,
-        nonmonotone=True,
-        make_record=_minmax_record,
+        problem.value_and_grad, x0, params, stop, step_fn, k_init=1, nonmonotone=True
     )
-    return MinMaxTrajectory(records, status)
+    return Trajectory(records, status, MINMAX_CSV_HEADER)
 
 
 def minmax_heuristic(
@@ -209,7 +134,7 @@ def minmax_heuristic(
     params: Optional[BacktrackParams] = None,
     budget: Optional[InnerAscentBudget] = None,
     stop: Optional[StopRule] = None,
-) -> MinMaxTrajectory:
+) -> Trajectory:
     """Backtracking with an approximate inner argmax and a frozen-response test.
 
     Per outer iteration: one approximate inner solve (one oracle call, warm
@@ -238,8 +163,8 @@ def minmax_heuristic(
             L = problem.loss(x, y_prev)
             gx = problem.grad_x(x, y_prev)
             gn = float(np.linalg.norm(gx))
-            records.append(_minmax_record(n, calls, x, y_prev, L, gn, 0.0, 0))
-            return MinMaxTrajectory(records, ORACLE_BUDGET)
+            records.append(TrajectoryRecord(n, calls, np.array(x), L, gn, 0.0, 0))
+            return Trajectory(records, ORACLE_BUDGET, MINMAX_CSV_HEADER)
         y = problem.approx_response(x, y_prev if budget.warm_start else None, budget)
         calls += 1
         L = problem.loss(x, y)
@@ -247,11 +172,11 @@ def minmax_heuristic(
         _check_finite(L, gx, n)
         gn = float(np.linalg.norm(gx))
         if gn <= stop.grad_tol:
-            records.append(_minmax_record(n, calls, x, y, L, gn, 0.0, 0))
-            return MinMaxTrajectory(records, CONVERGED)
+            records.append(TrajectoryRecord(n, calls, np.array(x), L, gn, 0.0, 0))
+            return Trajectory(records, CONVERGED, MINMAX_CSV_HEADER)
         if n >= stop.max_iters:
-            records.append(_minmax_record(n, calls, x, y, L, gn, 0.0, 0))
-            return MinMaxTrajectory(records, ITER_BUDGET)
+            records.append(TrajectoryRecord(n, calls, np.array(x), L, gn, 0.0, 0))
+            return Trajectory(records, ITER_BUDGET, MINMAX_CSV_HEADER)
 
         k = 0
         step = params.gamma
@@ -262,11 +187,11 @@ def minmax_heuristic(
                 break
             k += 1
             if k > params.k_max:
-                records.append(_minmax_record(n, calls, x, y, L, gn, 0.0, k))
-                return MinMaxTrajectory(records, K_CAP_EXCEEDED)
+                records.append(TrajectoryRecord(n, calls, np.array(x), L, gn, 0.0, k))
+                return Trajectory(records, K_CAP_EXCEEDED, MINMAX_CSV_HEADER)
             step = backtrack_step(k, gn, params)
 
-        records.append(_minmax_record(n, calls, x, y, L, gn, step, k))
+        records.append(TrajectoryRecord(n, calls, np.array(x), L, gn, step, k))
         x = x - step * gx
         y_prev = y
         n += 1
@@ -278,7 +203,7 @@ def minmax_constant(
     gamma: float,
     stop: Optional[StopRule] = None,
     budget: Optional[InnerAscentBudget] = None,
-) -> MinMaxTrajectory:
+) -> Trajectory:
     """Fixed-step driver: x <- x - gamma * grad_x L(x, y(x)), one oracle call per iteration.
 
     Uses the exact best response when the problem has one, otherwise the
@@ -289,7 +214,7 @@ def minmax_constant(
     x0 = problem.start_point(x0)
     stop = stop or StopRule()
     if problem.best_response is not None:
-        evaluate = _exact_eval(problem)
+        evaluate = problem.value_and_grad
     else:
         budget = budget or InnerAscentBudget()
         state = {"y": None}
@@ -297,7 +222,6 @@ def minmax_constant(
         def evaluate(x):
             y = problem.approx_response(x, state["y"] if budget.warm_start else None, budget)
             state["y"] = y
-            return problem.loss(x, y), problem.grad_x(x, y), y
+            return problem.loss(x, y), problem.grad_x(x, y)
 
-    records, status = _fixed_rule_loop(evaluate, x0, stop, lambda gn: gamma, _minmax_record)
-    return MinMaxTrajectory(records, status)
+    return Trajectory(*_fixed_rule_loop(evaluate, x0, stop, lambda gn: gamma), MINMAX_CSV_HEADER)

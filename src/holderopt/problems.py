@@ -40,9 +40,10 @@ class SmoothObjective:
     """Differentiable objective evaluated jointly: one call gives (value, gradient).
 
     ``eval`` is pure: repeated evaluation at the same point returns bit-identical
-    results. ``call_counter`` counts evaluations; it is a plain int (CPython's
-    GIL serializes the increment) and evaluation bodies are reentrant, so
-    concurrent use is safe as long as the counter is the only shared state.
+    results. ``call_counter`` counts evaluations with a plain ``+=`` on an
+    attribute, a read-modify-write that Python does not make atomic, so the
+    counter is not safe to share between threads: concurrent calls may lose
+    increments.
     """
 
     def __init__(self, dim: int, fn: Callable[[Array], tuple], name: str = ""):
@@ -99,23 +100,25 @@ class MinMaxProblem:
             raise ValueError(f"start point for problem{name} must have shape ({self.dim_x},), got {x.shape}")
         return x
 
+    def value_and_grad(self, x) -> tuple:
+        """g(x) = L(x, y*(x)) and grad g(x) = grad_x L(x, y*(x)) from one best-response call."""
+        y = self.best_response(x)
+        return self.loss(x, y), self.grad_x(x, y)
+
 
 class ValueFunctionView(SmoothObjective):
     """g(x) = L(x, y*(x)) as a SmoothObjective, gradient via the envelope identity.
 
     Requires an exact ``best_response``. One ``eval`` makes exactly one
-    best-response call.
+    best-response call, through :meth:`MinMaxProblem.value_and_grad`, the same
+    evaluation the exact-oracle drivers in :mod:`holderopt.minimax` use.
     """
 
     def __init__(self, problem: MinMaxProblem):
         if problem.best_response is None:
             raise ValueError("value function view needs an exact best_response")
-
-        def fn(x):
-            y = problem.best_response(x)
-            return problem.loss(x, y), problem.grad_x(x, y)
-
-        super().__init__(problem.dim_x, fn, name=f"value({problem.name})" if problem.name else "value")
+        name = f"value({problem.name})" if problem.name else "value"
+        super().__init__(problem.dim_x, problem.value_and_grad, name=name)
         self.problem = problem
         self.certificate = problem.certificate
 

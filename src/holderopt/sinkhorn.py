@@ -203,8 +203,3 @@ def sinkhorn_divergence(cost, epsilon: float, tol: float = 1e-9, max_sweeps: int
     C = _check_cost(cost)
     result = sinkhorn_solve(C, epsilon, tol=tol, max_sweeps=max_sweeps)
     return entropic_objective(result.plan, C, epsilon)
-
-
-def sinkhorn_grad_cost(result: TransportPlan) -> np.ndarray:
-    """Gradient of the transport objective with respect to the cost matrix: the plan itself."""
-    return np.array(result.plan)

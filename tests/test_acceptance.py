@@ -39,7 +39,6 @@ from holderopt import (
     sample_data,
     sample_latents,
     sinkhorn_divergence,
-    sinkhorn_grad_cost,
     sinkhorn_solve,
     sufficient_decrease_threshold,
 )
@@ -152,7 +151,7 @@ def test_04_every_accepted_step_replays_its_decrease_test():
     steps = 0
     ok = True
     for traj in runs:
-        values = traj.f_values if hasattr(traj, "f_values") else traj.L_values
+        values = traj.f_values
         grads = traj.grad_norms
         for i, before in enumerate(traj.records[:-1]):
             limit = sufficient_decrease_threshold(
@@ -179,7 +178,7 @@ def test_05_reduction_runs_bit_identical_to_plain_descent():
             and a.k == b.k
             and a.step == b.step
             and a.oracle_calls == b.oracle_calls
-            and a.L_value == b.f_value
+            and a.f_value == b.f_value
         )
     _verdict(5, ok, f"min-max driver and plain descent agree bitwise over {len(mm)} records")
 
@@ -207,7 +206,7 @@ def test_06_transport_solver_against_brute_force():
             float(np.max(np.abs(result.plan.sum(axis=0) - 1.0))),
             float(np.max(np.abs(result.plan.sum(axis=1) - 1.0))),
         )
-        plan = sinkhorn_grad_cost(result)
+        plan = result.plan
         h = 1e-5
         for i in range(n):
             for j in range(n):
@@ -288,11 +287,11 @@ def test_08_backtracking_beats_constant_steps_on_the_generator():
     calls_ok = bh.oracle_calls[-1] <= 300 and all(
         t.oracle_calls[-1] <= 300 for t in baselines.values()
     )
-    best_baseline = min(float(t.L_values.min()) for t in baselines.values())
-    final = float(bh.L_values[-1])
-    monotone = bool(np.all(np.diff(bh.L_values) <= 0.0))
+    best_baseline = min(float(t.f_values.min()) for t in baselines.values())
+    final = float(bh.f_values[-1])
+    monotone = bool(np.all(np.diff(bh.f_values) <= 0.0))
     some_baseline_wobbles = any(
-        np.any(np.diff(t.L_values) > 0.0) for t in baselines.values()
+        np.any(np.diff(t.f_values) > 0.0) for t in baselines.values()
     )
     elapsed = time.perf_counter() - t0
     _verdict(

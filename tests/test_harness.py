@@ -1,5 +1,7 @@
 """Experiment configs, seeded sampling, driver dispatch, file outputs, CLI."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,9 +26,7 @@ from holderopt.harness import (
     GENERATOR_WIDTHS,
     GaussianMixtureSpec,
     config_from_values,
-    objective_series,
     parse_config_text,
-    replace_config,
 )
 
 # ----------------------------------------------------------------- sampling
@@ -170,7 +170,7 @@ def test_load_config_with_overrides(tmp_path):
 def test_replace_config_revalidates():
     cfg = ExperimentConfig()
     with pytest.raises(ValueError, match="choices"):
-        replace_config(cfg, algorithm="nope")
+        dataclasses.replace(cfg, algorithm="nope")
 
 
 # ----------------------------------------------------------- problem builds
@@ -204,7 +204,7 @@ def test_build_gan_problem_dims_and_default_epsilon():
     data = sample_data(default_mixture(), 16, seed=0)
     latents = sample_latents(16, seed=0)
     eps = 0.01 * float(GanObjective(spec, latents, data, epsilon=1.0).cost(theta0).mean())
-    pinned, _ = build_problem(replace_config(cfg, epsilon=eps))
+    pinned, _ = build_problem(dataclasses.replace(cfg, epsilon=eps))
     np.testing.assert_array_equal(problem.best_response(theta0), pinned.best_response(theta0))
 
 
@@ -248,8 +248,7 @@ def test_run_experiment_known_constants_uses_certificate():
 def test_run_experiment_dispatch(problem, algorithm):
     cfg = ExperimentConfig(problem=problem, algorithm=algorithm, stop=StopRule(max_iters=200))
     traj = run_experiment(cfg)
-    calls, values = objective_series(traj)
-    assert len(calls) == len(values) == len(traj)
+    assert len(traj.oracle_calls) == len(traj.f_values) == len(traj)
     assert traj.terminal_status in ("converged", "iter_budget")
 
 

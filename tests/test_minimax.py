@@ -63,8 +63,8 @@ def test_reduction_to_plain_descent_is_bitwise():
         assert a.oracle_calls == b.oracle_calls
         assert a.k == b.k
         assert a.step == b.step
-        assert a.L_value == b.f_value
-        assert a.grad_x_norm == b.grad_norm
+        assert a.f_value == b.f_value
+        assert a.grad_norm == b.grad_norm
         np.testing.assert_array_equal(a.x, b.x)
 
 
@@ -99,15 +99,15 @@ def test_record_values_match_value_function():
     traj = minmax_backtrack(prob, np.array([2.0, 1.0]), BacktrackParams(gamma=0.4))
     for r in traj.records[:5]:
         v, g = view.eval(r.x)
-        assert r.L_value == v
-        assert r.grad_x_norm == float(np.linalg.norm(g))
+        assert r.f_value == v
+        assert r.grad_norm == float(np.linalg.norm(g))
 
 
 def test_minmax_backtrack_converges_on_sqrt():
     traj = minmax_backtrack(make_sqrt_problem(), [4.0])
     assert traj.terminal_status == "converged"
-    assert traj.L_values[-1] <= 1e-12
-    assert np.all(np.diff(traj.L_values) <= 0)
+    assert traj.f_values[-1] <= 1e-12
+    assert np.all(np.diff(traj.f_values) <= 0)
 
 
 @pytest.mark.parametrize("driver", [minmin_backtrack_nonmonotone, minmin_armijo_nonmonotone])
@@ -137,9 +137,9 @@ def test_nonmonotone_accepted_steps_still_satisfy_delta(driver):
     assert len(traj) > 2
     for before, after in zip(traj.records[:-1], traj.records[1:]):
         limit = sufficient_decrease_threshold(
-            before.L_value, params.delta, before.step, before.grad_x_norm
+            before.f_value, params.delta, before.step, before.grad_norm
         )
-        assert after.L_value <= limit
+        assert after.f_value <= limit
 
 
 def test_oracle_accounting_monotone():
