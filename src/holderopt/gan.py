@@ -154,6 +154,13 @@ class GanObjective:
 
     ``latents`` has shape (n, widths[0]) and ``data`` (n, widths[-1]); the cost
     matrix must be square because both clouds carry unit weights per point.
+
+    ``best_response``, ``loss`` and ``grad_x`` are the oracles of
+    :func:`as_minmin_problem`. They share one generator evaluation per θ:
+    the generated points Y and cost C of the last θ are kept, read-only, in
+    one ``(θ copy, Y, C)`` entry keyed on the bytes of θ. The same θ gives the
+    same bits whatever was evaluated before; ``dataclasses.replace`` makes a
+    copy with no kept entry.
     """
 
     spec: MlpSpec
@@ -161,7 +168,6 @@ class GanObjective:
     data: np.ndarray
     epsilon: float
     sinkhorn_tol: float = 1e-9
-    max_sweeps: int = 100_000
 
     def __post_init__(self):
         self.latents = np.asarray(self.latents, dtype=float)
@@ -177,18 +183,37 @@ class GanObjective:
             )
         if not (self.epsilon > 0 and np.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        self._kept = None
 
-    def cost(self, theta) -> np.ndarray:
-        return pairwise_distances(mlp_forward(self.spec, theta, self.latents), self.data)
-
-    def solve_plan(self, theta):
-        return sinkhorn_solve(self.cost(theta), self.epsilon, tol=self.sinkhorn_tol, max_sweeps=self.max_sweeps)
-
-    def plan_weighted_grad(self, theta, plan) -> np.ndarray:
-        """d/dtheta of <plan, C(theta)> at a fixed plan (unit-vector chain rule)."""
+    def _generated(self, theta):
+        """(Y, C) at theta, computed once per distinct θ (bitwise; 0.0 and -0.0 differ)."""
+        theta = np.asarray(theta, dtype=float)
+        kept = self._kept
+        if kept is not None and kept[0].shape == theta.shape and kept[0].tobytes() == theta.tobytes():
+            return kept[1], kept[2]
         Y = mlp_forward(self.spec, theta, self.latents)
         C = pairwise_distances(Y, self.data)
-        W = np.asarray(plan, dtype=float) / np.where(C < _DIST_FLOOR, np.inf, C)
+        Y.flags.writeable = C.flags.writeable = False
+        self._kept = (theta.copy(), Y, C)
+        return Y, C
+
+    def cost(self, theta) -> np.ndarray:
+        """The read-only cost matrix C(θ)[i, j] = |G(z_i; θ) - x_j|."""
+        return self._generated(theta)[1]
+
+    def best_response(self, theta) -> np.ndarray:
+        """The flat optimal plan at θ from one Sinkhorn solve."""
+        return sinkhorn_solve(self.cost(theta), self.epsilon, tol=self.sinkhorn_tol).plan.ravel()
+
+    def loss(self, theta, p) -> float:
+        n = self.data.shape[0]
+        return entropic_objective(p.reshape(n, n), self.cost(theta), self.epsilon)
+
+    def grad_x(self, theta, p) -> np.ndarray:
+        """d/dθ of <P, C(θ)> at a fixed flat plan p (unit-vector chain rule)."""
+        n = self.data.shape[0]
+        Y, C = self._generated(theta)
+        W = p.reshape(n, n) / np.where(C < _DIST_FLOOR, np.inf, C)
         upstream = Y * W.sum(axis=1)[:, None] - W @ self.data
         return mlp_backward(self.spec, theta, self.latents, upstream)
 
@@ -200,26 +225,12 @@ def as_minmin_problem(gan: GanObjective) -> MinMaxProblem:
     :mod:`holderopt.minimax` count each such call as one oracle unit.
     """
     n = gan.data.shape[0]
-    q = param_count(gan.spec)
-
-    def loss(theta, p):
-        return entropic_objective(p.reshape(n, n), gan.cost(theta), gan.epsilon)
-
-    def grad_x(theta, p):
-        return gan.plan_weighted_grad(theta, p.reshape(n, n))
-
-    def best_response(theta):
-        return gan.solve_plan(theta).plan.ravel()
-
     return MinMaxProblem(
-        dim_x=q,
+        dim_x=param_count(gan.spec),
         dim_y=n * n,
-        loss=loss,
-        grad_x=grad_x,
+        loss=gan.loss,
+        grad_x=gan.grad_x,
         sense="min-min",
-        best_response=best_response,
-        approx_response=None,
-        certificate=None,
-        x0_default=None,
+        best_response=gan.best_response,
         name="sinkhorn_gan",
     )

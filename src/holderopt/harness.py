@@ -17,7 +17,7 @@ import numpy as np
 
 from . import problems as _problems
 from .descent import BacktrackParams, StopRule, holder_gd
-from .gan import GanObjective, MlpSpec, as_minmin_problem, init_params
+from .gan import GanObjective, MlpSpec, as_minmin_problem, init_params, mlp_forward, pairwise_distances
 from .minimax import (
     InnerAscentBudget,
     minmax_backtrack,
@@ -103,8 +103,9 @@ class ExperimentConfig:
     """Everything one run needs. ``gamma`` is the fixed step for ``constant``
     and an optional override of the known-constants step scale for
     ``holder_known``; the backtracking drivers read their own ``params.gamma``.
-    ``epsilon=None`` means 0.01 times the mean initial cost (resolved when the
-    generator problem is built)."""
+    ``algorithm="constant:<step>"`` sets ``gamma``; any other algorithm with a
+    ``:<step>`` suffix raises ValueError. ``epsilon=None`` means 0.01 times
+    the mean initial cost (resolved when the generator problem is built)."""
 
     problem: str = "sqrt"
     algorithm: str = "backtrack_holder"
@@ -121,7 +122,10 @@ class ExperimentConfig:
     def __post_init__(self):
         algo, _, step = self.algorithm.partition(":")
         if step:
-            # shorthand like "constant:0.05" pins the fixed step in the name
+            # shorthand like "constant:0.05" pins the fixed step in the name;
+            # only constant's run id carries the step, and most drivers never read gamma
+            if algo != "constant":
+                raise ValueError(f"only constant takes a step as constant:<step>, got {self.algorithm!r}")
             self.algorithm = algo
             self.gamma = float(step)
         if self.algorithm not in ALGORITHMS:
@@ -156,11 +160,8 @@ def build_problem(config: ExperimentConfig):
         theta0 = init_params(spec, config.seed)
         eps = config.epsilon
         if eps is None:
-            gan0 = GanObjective(spec, latents, data, epsilon=1.0)  # placeholder eps for the cost
-            eps = 0.01 * float(gan0.cost(theta0).mean())
-        gan = GanObjective(
-            spec, latents, data, epsilon=eps, sinkhorn_tol=config.sinkhorn_tol
-        )
+            eps = 0.01 * float(pairwise_distances(mlp_forward(spec, theta0, latents), data).mean())
+        gan = GanObjective(spec, latents, data, epsilon=eps, sinkhorn_tol=config.sinkhorn_tol)
         problem = as_minmin_problem(gan)
         x0 = theta0 if config.x0 is None else config.x0
     else:
@@ -211,12 +212,15 @@ def compare_and_plot(configs, out_path, out_dir=None, title: str = ""):
     configs = list(configs)
     if not configs:
         raise ValueError("need at least one config")
+    run_ids = [cfg.run_id() for cfg in configs]
+    if len(set(run_ids)) < len(run_ids):
+        raise ValueError(f"configs must have distinct run ids, got {', '.join(run_ids)}")
     results = []
     curves = []
-    for cfg in configs:
+    for run_id, cfg in zip(run_ids, configs):
         traj = run_experiment(cfg, out_dir=out_dir)
-        results.append((cfg.run_id(), traj))
-        curves.append((cfg.run_id(), traj.oracle_calls, traj.f_values))
+        results.append((run_id, traj))
+        curves.append((run_id, traj.oracle_calls, traj.f_values))
     log_y = all(np.all(c[2] > 0) for c in curves)
     svg = render_comparison(curves, title=title, x_label="oracle calls", y_label="objective", log_y=log_y)
     write_svg(svg, out_path)
@@ -246,6 +250,8 @@ _CONFIG_KEYS = {
     "inner_step_size": float,
     "warm_start": "bool",
 }
+# config key -> InnerAscentBudget field
+_INNER_FIELDS = {"inner_steps": "steps", "inner_step_size": "step_size", "warm_start": "warm_start"}
 
 
 def parse_config_text(text: str) -> dict:
@@ -277,45 +283,26 @@ def parse_config_text(text: str) -> dict:
 
 
 def config_from_values(values: dict) -> ExperimentConfig:
-    """Assemble an ExperimentConfig from parsed key/value pairs.
+    """Assemble an ExperimentConfig from parsed key/value pairs; unset keys
+    keep the dataclass defaults, and ``gamma`` also sets ``params.gamma``.
 
     A ``sinkhorn_gan`` config that sets neither ``max_iters`` nor
     ``max_oracle_calls`` stops after ``GAN_ORACLE_BUDGET`` oracle calls.
     """
-    param_fields = {}
-    for name in ("alpha", "delta", "delta_plus", "rho", "k_max"):
-        if name in values:
-            param_fields[name] = values[name]
-    if "gamma" in values:
-        param_fields["gamma"] = values["gamma"]
-    params = BacktrackParams(**{"delta_plus": 0.95, **param_fields})
 
-    stop_fields = {k: values[k] for k in ("grad_tol", "max_iters", "max_oracle_calls") if k in values}
+    def pick(*keys):
+        return {key: values[key] for key in keys if key in values}
+
+    params = BacktrackParams(**{"delta_plus": 0.95, **pick("gamma", "alpha", "delta", "delta_plus", "rho", "k_max")})
+    stop_fields = pick("grad_tol", "max_iters", "max_oracle_calls")
     if values.get("problem") == "sinkhorn_gan" and not {"max_iters", "max_oracle_calls"} & stop_fields.keys():
         stop_fields["max_oracle_calls"] = GAN_ORACLE_BUDGET
-    stop = StopRule(**stop_fields)
-
-    inner_fields = {}
-    if "inner_steps" in values:
-        inner_fields["steps"] = values["inner_steps"]
-    if "inner_step_size" in values:
-        inner_fields["step_size"] = values["inner_step_size"]
-    if "warm_start" in values:
-        inner_fields["warm_start"] = values["warm_start"]
-    inner = InnerAscentBudget(**inner_fields)
-
+    inner_fields = {field: values[key] for key, field in _INNER_FIELDS.items() if key in values}
     return ExperimentConfig(
-        problem=values.get("problem", "sqrt"),
-        algorithm=values.get("algorithm", "backtrack_holder"),
-        seed=values.get("seed", 0),
-        gamma=values.get("gamma"),
+        **pick("problem", "algorithm", "seed", "gamma", "sample_size", "epsilon", "sinkhorn_tol", "x0"),
         params=params,
-        stop=stop,
-        sample_size=values.get("sample_size", 64),
-        epsilon=values.get("epsilon"),
-        sinkhorn_tol=values.get("sinkhorn_tol", 1e-9),
-        x0=values.get("x0"),
-        inner=inner,
+        stop=StopRule(**stop_fields),
+        inner=InnerAscentBudget(**inner_fields),
     )
 
 

@@ -19,7 +19,7 @@ from holderopt import (
 
 def transport_divergence(gan, theta):
     """The transport divergence at theta, computed by the Sinkhorn module alone."""
-    return sinkhorn_divergence(gan.cost(theta), gan.epsilon, tol=gan.sinkhorn_tol, max_sweeps=gan.max_sweeps)
+    return sinkhorn_divergence(gan.cost(theta), gan.epsilon, tol=gan.sinkhorn_tol)
 
 
 def test_param_count():
@@ -198,6 +198,50 @@ def test_minmin_problem_wiring():
     assert p.shape == (16,)
     np.testing.assert_allclose(p.reshape(4, 4).sum(axis=0), np.ones(4), atol=1e-9)
     assert prob.loss(theta, p) == pytest.approx(transport_divergence(gan, theta), abs=1e-9)
-    np.testing.assert_array_equal(
-        prob.grad_x(theta, p), gan.plan_weighted_grad(theta, p.reshape(4, 4))
-    )
+
+
+def test_one_oracle_call_evaluates_the_generator_once(monkeypatch):
+    import holderopt.gan
+
+    gan = make_small_gan()
+    theta = init_params(gan.spec, seed=3)
+    calls = {"mlp_forward": 0, "pairwise_distances": 0, "mlp_backward": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(holderopt.gan, name, counting(name, getattr(holderopt.gan, name)))
+    ValueFunctionView(as_minmin_problem(gan)).eval(theta)
+    assert calls == {"mlp_forward": 1, "pairwise_distances": 1, "mlp_backward": 1}
+
+
+def test_kept_evaluation_matches_a_fresh_objective():
+    """Results never depend on what was evaluated before, nor on the θ object."""
+    gan = make_small_gan()
+    theta1 = init_params(gan.spec, seed=3)
+    theta2 = init_params(gan.spec, seed=4)
+    view = ValueFunctionView(as_minmin_problem(gan))
+
+    def check(theta):
+        value, grad = view.eval(theta)
+        fresh_value, fresh_grad = ValueFunctionView(as_minmin_problem(make_small_gan())).eval(theta.copy())
+        assert np.float64(value).tobytes() == np.float64(fresh_value).tobytes()
+        assert grad.tobytes() == fresh_grad.tobytes()
+        assert gan.cost(theta).tobytes() == make_small_gan().cost(theta.copy()).tobytes()
+
+    for theta in (theta1, theta2, theta1):
+        check(theta)
+    theta1[0] += 0.25  # the object evaluated last, with new values
+    check(theta1)
+
+
+def test_cost_is_read_only():
+    gan = make_small_gan()
+    C = gan.cost(init_params(gan.spec, seed=3))
+    with pytest.raises(ValueError):
+        C[0, 0] = 1.0

@@ -90,6 +90,11 @@ def test_algorithm_shorthand_pins_gamma():
     assert cfg.gamma == 0.05
 
 
+def test_algorithm_shorthand_only_on_constant():
+    with pytest.raises(ValueError, match="only constant"):
+        ExperimentConfig(algorithm="backtrack_holder:0.5")
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="choices"):
         ExperimentConfig(algorithm="newton")
@@ -148,6 +153,10 @@ def test_config_from_values_threads_fields():
     assert cfg.params.delta_plus == 0.95  # default survives partial overrides
     assert cfg.stop.grad_tol == 1e-5
     assert cfg.inner.steps == 7
+
+
+def test_config_from_no_values_is_the_default_config():
+    assert config_from_values({}) == ExperimentConfig()
 
 
 def test_gan_config_without_a_bound_gets_the_comparison_budget():
@@ -271,6 +280,16 @@ def test_compare_and_plot_deterministic_svg(tmp_path):
         compare_and_plot([], tmp_path / "c.svg")
 
 
+def test_compare_and_plot_rejects_repeated_run_ids(tmp_path):
+    configs = [
+        ExperimentConfig(problem="sqrt", algorithm="constant:0.05"),
+        ExperimentConfig(problem="sqrt", algorithm="constant", gamma=0.05),
+    ]
+    with pytest.raises(ValueError, match="distinct run ids"):
+        compare_and_plot(configs, tmp_path / "c.svg")
+    assert not (tmp_path / "c.svg").exists()
+
+
 # --------------------------------------------------------------------- cli
 
 
@@ -326,6 +345,13 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["--config", str(tmp_path / "missing.cfg")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_step_shorthand_off_constant_exits_2(tmp_path, capsys):
+    algos = "backtrack_holder:0.5,backtrack_holder:5"
+    assert main(["--problem", "sqrt", "--algo", algos, "--out", str(tmp_path)]) == 2
+    assert "only constant" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_wrong_length_start_exits_2(tmp_path, capsys):
