@@ -8,13 +8,19 @@ Two families live here:
   adapt a trial exponent ``k`` online, never resetting it, so the per-iteration
   search cost stays bounded by :func:`k_bound`.
 
-Every driver here and in :mod:`holderopt.minimax` returns a
-:class:`Trajectory` of :class:`TrajectoryRecord` entries. The exact-oracle
-min-max and min-min drivers hand
-:meth:`holderopt.problems.MinMaxProblem.value_and_grad` to the search loops
-below, and :class:`holderopt.problems.ValueFunctionView` evaluates through
-that same method, so plain descent on the value function and the min-max
-driver agree bit for bit by construction.
+Every driver here and in :mod:`holderopt.minimax` is a thin wrapper over one
+loop, ``_descend``: a step rule ``step_fn(k, |grad|)`` and an acceptance test,
+which is none (fixed steps), the ``delta`` decrease test on the trial's
+evaluation (optionally with the non-monotone ``delta_plus`` decrement), or the
+min-max heuristic's frozen-response loss. The loop builds every
+:class:`TrajectoryRecord`, assigns every terminal status and counts every
+oracle call, with one budget rule: stop when the next step needs an oracle
+call and none is left. Every driver returns a :class:`Trajectory`. The
+exact-oracle min-max and min-min drivers evaluate through
+:meth:`holderopt.problems.MinMaxProblem.value_and_grad`, and
+:class:`holderopt.problems.ValueFunctionView` evaluates through that same
+method, so plain descent on the value function and the min-max driver agree
+bit for bit by construction.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,7 +41,13 @@ K_CAP_EXCEEDED = "k_cap_exceeded"
 
 
 class NumericError(RuntimeError):
-    """An oracle returned NaN/Inf. ``iteration`` is the outer index of the bad eval."""
+    """An oracle returned NaN/Inf.
+
+    ``iteration`` is the index of the iteration that made the bad call: 0 for
+    the start point and n for every trial of step n, a fixed step's one trial
+    included. An iteration of :func:`holderopt.minimax.minmax_heuristic`
+    begins with a fresh inner solve at x_n, which is iteration n's call.
+    """
 
     def __init__(self, message: str, iteration: int):
         super().__init__(f"{message} (iteration {iteration})")
@@ -229,118 +241,86 @@ def _check_finite(value: float, grad: np.ndarray, iteration: int) -> None:
         raise NumericError("oracle returned a non-finite value or gradient", iteration)
 
 
-def _stop_status(stop: StopRule, grad_norm: float, n: int, calls: int) -> Optional[str]:
-    """The terminal status that ``stop`` assigns at the start of iteration ``n``, if any."""
-    if grad_norm <= stop.grad_tol:
-        return CONVERGED
-    if n >= stop.max_iters:
-        return ITER_BUDGET
-    if calls >= stop.max_oracle_calls:
-        return ORACLE_BUDGET
-    return None
+def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, k=0, frozen=False):
+    """The one descent loop behind every driver; returns ``(records, status)``.
 
+    ``evaluate(x) -> (value, grad)`` is one oracle call; the first is at
+    ``x0``. Iteration n ends the run on ``stop``'s gradient tolerance or
+    iteration budget; otherwise it steps by ``step_fn(k, |grad|)`` along
+    ``-grad``. The acceptance test is one of:
 
-def _fixed_rule_loop(evaluate, x0, stop: StopRule, step_of: Callable[[float], float]):
-    """Driver loop for step rules with no search: one eval per iteration."""
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    value, grad = evaluate(x)
-    calls = 1
-    _check_finite(value, grad, 0)
-    records = []
-    n = 0
-    while True:
-        gn = float(np.linalg.norm(grad))
-        status = _stop_status(stop, gn, n, calls)
-        if status is not None:
-            records.append(TrajectoryRecord(n, calls, np.array(x), value, gn, 0.0, 0))
-            return records, status
-        step = step_of(gn)
-        x_next = x - step * grad
-        value_next, grad_next = evaluate(x_next)
-        calls += 1
-        _check_finite(value_next, grad_next, n + 1)
-        records.append(TrajectoryRecord(n, calls, np.array(x), value, gn, step, 0))
-        x, value, grad = x_next, value_next, grad_next
-        n += 1
+    * none (``params is None``): the trial's evaluation is the next iterate's;
+    * the ``params.delta`` decrease test on ``evaluate(trial)``, one call per
+      trial. Each rejection raises ``k``, which carries over between
+      iterations; ``nonmonotone`` first lowers ``k`` by one when the
+      inherited step clears ``params.delta_plus``;
+    * with ``frozen``, the same test on ``evaluate.frozen_loss(trial)``, which
+      is no oracle call. ``k`` restarts at 0 each iteration, and the accepted
+      point is evaluated afresh.
 
-
-def _backtracking_loop(
-    evaluate,
-    x0,
-    params: BacktrackParams,
-    stop: StopRule,
-    step_fn: Callable[[int, float], float],
-    k_init: int,
-    nonmonotone: bool,
-):
-    """Shared search loop.
-
-    ``evaluate(x) -> (value, grad)`` costs one oracle call. The trial
-    exponent ``k`` persists across iterations (never reset). In the
-    non-monotone mode each iteration first tests the inherited step against the
-    stronger ``delta_plus`` threshold and, on success with k > 0, decrements k
-    once and recomputes the trial (one extra call) before the standard
-    ``delta`` loop guards acceptance.
+    Budget rule: stop with :data:`ORACLE_BUDGET` when the next step needs an
+    oracle call and none is left. A frozen search needs none, so it still
+    takes its step and closes on ``evaluate.frozen(x)``, evaluated with the
+    last response. ``k > params.k_max`` stops with :data:`K_CAP_EXCEEDED`; a
+    non-finite evaluation raises :class:`NumericError`.
     """
     if nonmonotone and params.delta_plus is None:
         raise ValueError("non-monotone mode needs params.delta_plus")
+    stop = stop or StopRule()
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     value, grad = evaluate(x)
     calls = 1
     _check_finite(value, grad, 0)
     records = []
-    k = k_init
     n = 0
     while True:
+        if frozen:
+            k = 0
         gn = float(np.linalg.norm(grad))
-        status = _stop_status(stop, gn, n, calls)
-        if status is not None:
-            records.append(TrajectoryRecord(n, calls, np.array(x), value, gn, 0.0, k))
-            return records, status
-
-        step = step_fn(k, gn)
-        trial = x - step * grad
-        t_value, t_grad = evaluate(trial)
-        calls += 1
-        _check_finite(t_value, t_grad, n)
-
-        out_of = None
-        if (
-            nonmonotone
-            and k > 0
-            and t_value < sufficient_decrease_threshold(value, params.delta_plus, step, gn)
-        ):
-            k -= 1
-            if calls >= stop.max_oracle_calls:
-                out_of = ORACLE_BUDGET
-            else:
-                step = step_fn(k, gn)
-                trial = x - step * grad
-                t_value, t_grad = evaluate(trial)
-                calls += 1
-                _check_finite(t_value, t_grad, n)
-
-        while out_of is None and t_value > sufficient_decrease_threshold(value, params.delta, step, gn):
-            k += 1
-            if k > params.k_max:
-                out_of = K_CAP_EXCEEDED
-                break
-            if calls >= stop.max_oracle_calls:
-                out_of = ORACLE_BUDGET
+        status = CONVERGED if gn <= stop.grad_tol else ITER_BUDGET if n >= stop.max_iters else None
+        decrement = nonmonotone and k > 0
+        while status is None:
+            if not frozen and calls >= stop.max_oracle_calls:
+                status = ORACLE_BUDGET
                 break
             step = step_fn(k, gn)
             trial = x - step * grad
-            t_value, t_grad = evaluate(trial)
-            calls += 1
-            _check_finite(t_value, t_grad, n)
+            if frozen:
+                t_value = evaluate.frozen_loss(trial)
+                _check_finite(t_value, grad, n)
+            else:
+                t_value, t_grad = evaluate(trial)
+                calls += 1
+                _check_finite(t_value, t_grad, n)
+            if params is None:
+                break
+            if decrement and t_value < sufficient_decrease_threshold(value, params.delta_plus, step, gn):
+                k -= 1
+                decrement = False
+                continue
+            decrement = False
+            if t_value <= sufficient_decrease_threshold(value, params.delta, step, gn):
+                break
+            k += 1
+            if k > params.k_max:
+                status = K_CAP_EXCEEDED
 
-        if out_of is not None:
+        if status is not None:
             records.append(TrajectoryRecord(n, calls, np.array(x), value, gn, 0.0, k))
-            return records, out_of
-
+            return records, status
         records.append(TrajectoryRecord(n, calls, np.array(x), value, gn, step, k))
-        x, value, grad = trial, t_value, t_grad
+        x = trial
         n += 1
+        if not frozen:
+            value, grad = t_value, t_grad
+        elif calls < stop.max_oracle_calls:
+            value, grad = evaluate(x)
+            calls += 1
+            _check_finite(value, grad, n)
+        else:
+            value, grad = evaluate.frozen(x)
+            records.append(TrajectoryRecord(n, calls, np.array(x), value, float(np.linalg.norm(grad)), 0.0, 0))
+            return records, ORACLE_BUDGET
 
 
 def holder_gd(
@@ -359,18 +339,16 @@ def holder_gd(
         raise ValueError("holder_gd needs a certificate valid on the whole region visited")
     if gamma is None:
         gamma = optimal_holder_gamma(cert)
-    stop = stop or StopRule()
     # validate gamma once up front so a bad range fails before any oracle call
     holder_step(1.0, cert, gamma)
-    return Trajectory(*_fixed_rule_loop(obj.eval, x0, stop, lambda gn: holder_step(gn, cert, gamma)))
+    return Trajectory(*_descend(obj.eval, x0, stop, lambda k, gn: holder_step(gn, cert, gamma)))
 
 
 def constant_gd(obj: SmoothObjective, x0, gamma: float, stop: Optional[StopRule] = None) -> Trajectory:
     """Fixed-step gradient descent baseline. No monotonicity guarantee."""
     if not (gamma > 0 and np.isfinite(gamma)):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    stop = stop or StopRule()
-    return Trajectory(*_fixed_rule_loop(obj.eval, x0, stop, lambda gn: gamma))
+    return Trajectory(*_descend(obj.eval, x0, stop, lambda k, gn: gamma))
 
 
 def backtrack_holder_gd(
@@ -383,9 +361,7 @@ def backtrack_holder_gd(
     is (iterations) + (k increments) + 1 for the initial evaluation.
     """
     params = params or BacktrackParams()
-    stop = stop or StopRule()
-    step_fn = lambda k, gn: backtrack_step(k, gn, params)
-    return Trajectory(*_backtracking_loop(obj.eval, x0, params, stop, step_fn, k_init=0, nonmonotone=False))
+    return Trajectory(*_descend(obj.eval, x0, stop, lambda k, gn: backtrack_step(k, gn, params), params))
 
 
 def armijo_gd(
@@ -397,6 +373,4 @@ def armijo_gd(
     differs (no gradient-norm factor).
     """
     params = params or BacktrackParams()
-    stop = stop or StopRule()
-    step_fn = lambda k, gn: params.gamma * params.alpha**k
-    return Trajectory(*_backtracking_loop(obj.eval, x0, params, stop, step_fn, k_init=0, nonmonotone=False))
+    return Trajectory(*_descend(obj.eval, x0, stop, lambda k, gn: params.gamma * params.alpha**k, params))

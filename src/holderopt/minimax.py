@@ -2,14 +2,21 @@
 
 Every driver minimizes the value function g(x) = L(x, y*(x)) while only ever
 calling the problem's inner oracle; one oracle call is one unit of
-``oracle_calls`` regardless of how much work the inner solve does. Every driver
-returns a :class:`holderopt.descent.Trajectory` whose CSV carries
-:data:`MINMAX_CSV_HEADER`. The exact-oracle drivers hand
-:meth:`holderopt.problems.MinMaxProblem.value_and_grad` to the search loops of
-:mod:`holderopt.descent`; :class:`holderopt.problems.ValueFunctionView`
-evaluates through the same method, so :func:`minmax_backtrack` and
-:func:`holderopt.descent.backtrack_holder_gd` on the view run the same code on
-the same numbers.
+``oracle_calls`` regardless of how much work the inner solve does. Every
+driver is a thin wrapper over the one descent loop of :mod:`holderopt.descent`
+and returns a :class:`holderopt.descent.Trajectory` whose CSV carries
+:data:`MINMAX_CSV_HEADER`. The exact-oracle drivers evaluate through
+:meth:`holderopt.problems.MinMaxProblem.value_and_grad`, which
+:class:`holderopt.problems.ValueFunctionView` also uses, so
+:func:`minmax_backtrack` and :func:`holderopt.descent.backtrack_holder_gd` on
+the view run the same code on the same numbers. Without an exact oracle,
+:func:`minmax_heuristic` and :func:`minmax_constant` evaluate through one
+approximate oracle that keeps its last response: the warm start of the next
+inner solve, and the frozen response of the heuristic's acceptance test.
+The loop's budget rule is the same for all: stop when the next step needs an
+oracle call and none is left. The heuristic's search needs none, so on an
+exhausted budget it takes one more step and closes on a record evaluated
+with the last response.
 """
 
 from __future__ import annotations
@@ -19,21 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .descent import (
-    BacktrackParams,
-    CONVERGED,
-    ITER_BUDGET,
-    K_CAP_EXCEEDED,
-    ORACLE_BUDGET,
-    StopRule,
-    Trajectory,
-    TrajectoryRecord,
-    _backtracking_loop,
-    _check_finite,
-    _fixed_rule_loop,
-    backtrack_step,
-    sufficient_decrease_threshold,
-)
+from .descent import BacktrackParams, StopRule, Trajectory, _descend, backtrack_step
 
 # not called here; perfbench/tracing.py patches this name on this module to time CSV writes
 from .descent import write_csv_atomic  # noqa: F401
@@ -58,6 +51,33 @@ class InnerAscentBudget:
 MINMAX_CSV_HEADER = "n,oracle_calls,L,grad_x_norm,step,k"
 
 
+class _ApproxOracle:
+    """The approximate inner oracle, keeping its last response y.
+
+    A call at x is one oracle call: one inner solve, warm started from the
+    kept response when ``budget.warm_start`` says so, giving
+    (L(x, y), grad_x L(x, y)). ``frozen_loss`` and ``frozen`` evaluate at the
+    kept response and are not oracle calls.
+    """
+
+    def __init__(self, problem: MinMaxProblem, budget: InnerAscentBudget):
+        self.problem, self.budget, self.y = problem, budget, None
+
+    def __call__(self, x):
+        self.y = self.problem.approx_response(x, self.y if self.budget.warm_start else None, self.budget)
+        return self.frozen(x)
+
+    def frozen_loss(self, x):
+        return self.problem.loss(x, self.y)
+
+    def frozen(self, x):
+        return self.frozen_loss(x), np.asarray(self.problem.grad_x(x, self.y), dtype=float)
+
+
+def _run(evaluate, x0, stop, step_fn, params=None, **search) -> Trajectory:
+    return Trajectory(*_descend(evaluate, x0, stop, step_fn, params, **search), MINMAX_CSV_HEADER)
+
+
 def _require(problem: MinMaxProblem, sense: str, driver: str) -> None:
     if problem.sense != sense:
         raise ValueError(f"{driver} expects a {sense} problem, got {problem.sense}")
@@ -77,14 +97,9 @@ def minmax_backtrack(
     inherited across iterations and never decreases.
     """
     _require(problem, "min-max", "minmax_backtrack")
-    x0 = problem.start_point(x0)
     params = params or BacktrackParams()
-    stop = stop or StopRule()
     step_fn = lambda k, gn: backtrack_step(k, gn, params)
-    records, status = _backtracking_loop(
-        problem.value_and_grad, x0, params, stop, step_fn, k_init=0, nonmonotone=False
-    )
-    return Trajectory(records, status, MINMAX_CSV_HEADER)
+    return _run(problem.value_and_grad, problem.start_point(x0), stop, step_fn, params)
 
 
 def minmin_backtrack_nonmonotone(
@@ -100,14 +115,9 @@ def minmin_backtrack_nonmonotone(
     accepted step still satisfies the plain ``delta`` sufficient decrease.
     """
     _require(problem, "min-min", "minmin_backtrack_nonmonotone")
-    x0 = problem.start_point(x0)
     params = params or BacktrackParams(delta_plus=0.95)
-    stop = stop or StopRule()
     step_fn = lambda k, gn: backtrack_step(k, gn, params)
-    records, status = _backtracking_loop(
-        problem.value_and_grad, x0, params, stop, step_fn, k_init=1, nonmonotone=True
-    )
-    return Trajectory(records, status, MINMAX_CSV_HEADER)
+    return _run(problem.value_and_grad, problem.start_point(x0), stop, step_fn, params, nonmonotone=True, k=1)
 
 
 def minmin_armijo_nonmonotone(
@@ -118,14 +128,9 @@ def minmin_armijo_nonmonotone(
 ) -> Trajectory:
     """As :func:`minmin_backtrack_nonmonotone` with the plain geometric step gamma * alpha**k."""
     _require(problem, "min-min", "minmin_armijo_nonmonotone")
-    x0 = problem.start_point(x0)
     params = params or BacktrackParams(delta_plus=0.95)
-    stop = stop or StopRule()
     step_fn = lambda k, gn: params.gamma * params.alpha**k
-    records, status = _backtracking_loop(
-        problem.value_and_grad, x0, params, stop, step_fn, k_init=1, nonmonotone=True
-    )
-    return Trajectory(records, status, MINMAX_CSV_HEADER)
+    return _run(problem.value_and_grad, problem.start_point(x0), stop, step_fn, params, nonmonotone=True, k=1)
 
 
 def minmax_heuristic(
@@ -148,53 +153,10 @@ def minmax_heuristic(
         raise ValueError(f"minmax_heuristic expects a min-max problem, got {problem.sense}")
     if problem.approx_response is None:
         raise ValueError("minmax_heuristic needs an approx_response oracle")
-    x = problem.start_point(x0)
     params = params or BacktrackParams()
-    budget = budget or InnerAscentBudget()
-    stop = stop or StopRule()
-
-    y_prev = None
-    records = []
-    calls = 0
-    n = 0
-    while True:
-        if calls >= stop.max_oracle_calls:
-            # cannot afford a fresh inner solve; close with the frozen view
-            L = problem.loss(x, y_prev)
-            gx = problem.grad_x(x, y_prev)
-            gn = float(np.linalg.norm(gx))
-            records.append(TrajectoryRecord(n, calls, np.array(x), L, gn, 0.0, 0))
-            return Trajectory(records, ORACLE_BUDGET, MINMAX_CSV_HEADER)
-        y = problem.approx_response(x, y_prev if budget.warm_start else None, budget)
-        calls += 1
-        L = problem.loss(x, y)
-        gx = np.asarray(problem.grad_x(x, y), dtype=float)
-        _check_finite(L, gx, n)
-        gn = float(np.linalg.norm(gx))
-        if gn <= stop.grad_tol:
-            records.append(TrajectoryRecord(n, calls, np.array(x), L, gn, 0.0, 0))
-            return Trajectory(records, CONVERGED, MINMAX_CSV_HEADER)
-        if n >= stop.max_iters:
-            records.append(TrajectoryRecord(n, calls, np.array(x), L, gn, 0.0, 0))
-            return Trajectory(records, ITER_BUDGET, MINMAX_CSV_HEADER)
-
-        k = 0
-        step = params.gamma
-        while True:
-            t_loss = problem.loss(x - step * gx, y)
-            _check_finite(t_loss, gx, n)
-            if t_loss <= sufficient_decrease_threshold(L, params.delta, step, gn):
-                break
-            k += 1
-            if k > params.k_max:
-                records.append(TrajectoryRecord(n, calls, np.array(x), L, gn, 0.0, k))
-                return Trajectory(records, K_CAP_EXCEEDED, MINMAX_CSV_HEADER)
-            step = backtrack_step(k, gn, params)
-
-        records.append(TrajectoryRecord(n, calls, np.array(x), L, gn, step, k))
-        x = x - step * gx
-        y_prev = y
-        n += 1
+    step_fn = lambda k, gn: backtrack_step(k, gn, params)
+    oracle = _ApproxOracle(problem, budget or InnerAscentBudget())
+    return _run(oracle, problem.start_point(x0), stop, step_fn, params, frozen=True)
 
 
 def minmax_constant(
@@ -212,16 +174,8 @@ def minmax_constant(
     if not (gamma > 0 and np.isfinite(gamma)):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     x0 = problem.start_point(x0)
-    stop = stop or StopRule()
     if problem.best_response is not None:
         evaluate = problem.value_and_grad
     else:
-        budget = budget or InnerAscentBudget()
-        state = {"y": None}
-
-        def evaluate(x):
-            y = problem.approx_response(x, state["y"] if budget.warm_start else None, budget)
-            state["y"] = y
-            return problem.loss(x, y), problem.grad_x(x, y)
-
-    return Trajectory(*_fixed_rule_loop(evaluate, x0, stop, lambda gn: gamma), MINMAX_CSV_HEADER)
+        evaluate = _ApproxOracle(problem, budget or InnerAscentBudget())
+    return _run(evaluate, x0, stop, lambda k, gn: gamma)

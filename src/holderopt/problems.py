@@ -40,10 +40,8 @@ class SmoothObjective:
     """Differentiable objective evaluated jointly: one call gives (value, gradient).
 
     ``eval`` is pure: repeated evaluation at the same point returns bit-identical
-    results. ``call_counter`` counts evaluations with a plain ``+=`` on an
-    attribute, a read-modify-write that Python does not make atomic, so the
-    counter is not safe to share between threads: concurrent calls may lose
-    increments.
+    results. One ``eval`` is one oracle call; the drivers count the calls, in
+    the ``oracle_calls`` of their records.
     """
 
     def __init__(self, dim: int, fn: Callable[[Array], tuple], name: str = ""):
@@ -51,14 +49,12 @@ class SmoothObjective:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = int(dim)
         self.name = name
-        self.call_counter = 0
         self._fn = fn
 
     def eval(self, x) -> tuple[float, Array]:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.dim,):
             raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
-        self.call_counter += 1
         value, grad = self._fn(x)
         return float(value), np.asarray(grad, dtype=float)
 
@@ -273,6 +269,27 @@ def finite_diff_gradient(f, x, h: float = 1e-6) -> Array:
     return g
 
 
+def _pair_distances(points: Array) -> Array:
+    """Euclidean distances of all pairs i < j of rows, in ``scipy.spatial.distance.pdist``'s order.
+
+    Each row of pairs is written into one preallocated n(n-1)/2 array, so the
+    peak memory is that of the result. Squares are summed one coordinate at a
+    time, the order ``pdist`` sums them in, so the bits agree with it.
+    """
+    n, d = points.shape
+    out = np.empty(n * (n - 1) // 2)
+    start = 0
+    for i in range(n - 1):
+        diff = points[i + 1 :] - points[i]
+        row = out[start : start + n - 1 - i]
+        np.multiply(diff[:, 0], diff[:, 0], out=row)
+        for j in range(1, d):
+            row += diff[:, j] * diff[:, j]
+        np.sqrt(row, out=row)
+        start += n - 1 - i
+    return out
+
+
 def estimate_holder_constants(
     obj: SmoothObjective,
     region,
@@ -315,11 +332,8 @@ def estimate_holder_constants(
     points = lo + (hi - lo) * rng.random((samples, obj.dim))
     grads = np.array([obj.eval(p)[1] for p in points])
 
-    # scipy takes about 0.5 s to import; keep it off the `import holderopt` path
-    from scipy.spatial.distance import pdist
-
-    dx = pdist(points)
-    dg = pdist(grads)
+    dx = _pair_distances(points)
+    dg = _pair_distances(grads)
     keep = dx >= 1e-9
     dx, dg = dx[keep], dg[keep]
 

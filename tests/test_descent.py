@@ -181,10 +181,14 @@ def test_holder_gd_requires_global_certificate():
 
 
 def test_holder_gd_rejects_bad_gamma_before_any_oracle_call():
-    view = ValueFunctionView(make_sqrt_problem())
+    problem = make_sqrt_problem()
+    best_response = problem.best_response
+    calls = []
+    problem.best_response = lambda x: calls.append(x) or best_response(x)
+    view = ValueFunctionView(problem)
     with pytest.raises(ValueError):
         holder_gd(view, [1.0], view.certificate, gamma=2.0)
-    assert view.call_counter == 0
+    assert len(calls) == 0
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -192,6 +196,33 @@ def test_constant_gd_divergence_raises():
     with pytest.raises(NumericError) as info:
         constant_gd(quadratic(), [1.0], gamma=2.5)
     assert info.value.iteration > 0
+
+
+def nan_at(call):
+    """``quadratic()`` whose evaluation number ``call`` returns a NaN value."""
+    calls = [0]
+
+    def fn(x):
+        calls[0] += 1
+        return (math.nan if calls[0] == call else 0.5 * float(x @ x)), np.array(x, dtype=float)
+
+    return SmoothObjective(1, fn)
+
+
+# call 1 evaluates x0 (iteration 0); call n + 2 evaluates the trial of step n
+@pytest.mark.parametrize("call, iteration", [(1, 0), (2, 0), (4, 2)])
+def test_numeric_error_names_the_iteration_of_a_fixed_step(call, iteration):
+    with pytest.raises(NumericError) as info:
+        constant_gd(nan_at(call), [1.0], gamma=0.5)
+    assert info.value.iteration == iteration
+
+
+# step 0 tries k = 0, 1, 2 (calls 2 to 4); steps 1 and 2 accept k = 2 at once (calls 5 and 6)
+@pytest.mark.parametrize("call, iteration", [(1, 0), (3, 0), (4, 0), (5, 1), (6, 2)])
+def test_numeric_error_names_the_iteration_of_a_backtracking_trial(call, iteration):
+    with pytest.raises(NumericError) as info:
+        backtrack_holder_gd(nan_at(call), [1.0], BacktrackParams(gamma=4.0, alpha=0.6))
+    assert info.value.iteration == iteration
 
 
 def test_constant_gd_converges_with_small_step():

@@ -3,7 +3,8 @@
 Every accepted step replays its decrease test exactly, the trial exponent
 stays under its cap, the oracle budget is never overrun, and the monotone
 drivers never raise the objective and spend exactly 1 + iterations + k
-oracle calls.
+oracle calls. The heuristic and constant-step min-max drivers spend one
+oracle call per iteration, counted the same way on both inner oracles.
 """
 
 import numpy as np
@@ -11,13 +12,18 @@ import pytest
 
 from holderopt import (
     K_CAP_EXCEEDED,
+    ORACLE_BUDGET,
     BacktrackParams,
+    InnerAscentBudget,
+    MinMaxProblem,
     StopRule,
     ValueFunctionView,
     armijo_gd,
     backtrack_holder_gd,
     get_problem,
     minmax_backtrack,
+    minmax_constant,
+    minmax_heuristic,
     minmin_armijo_nonmonotone,
     minmin_backtrack_nonmonotone,
     sufficient_decrease_threshold,
@@ -100,3 +106,129 @@ def test_driver_invariants(name, data):
         assert np.all(np.diff(traj.f_values) <= 0.0)
         last = records[-1]
         assert last.oracle_calls == 1 + last.n + last.k
+
+
+def quartic(dim):
+    """L(x, y) = sum(x**4)/4 + <x, y> - |y|^2/2 with y*(x) = x.
+
+    L is not linear in x, so the heuristic's frozen-response test can reject
+    a trial step; on ``sqrt`` and ``quadratic_saddle`` it never does.
+    """
+
+    def loss(x, y):
+        return float(np.sum(x**4) / 4.0 + x @ y - 0.5 * (y @ y))
+
+    def grad_x(x, y):
+        return x**3 + y
+
+    def best_response(x):
+        return np.array(x, dtype=float)
+
+    def approx_response(x, y_warm, budget):
+        y = np.zeros(dim) if y_warm is None else np.array(y_warm, dtype=float)
+        for _ in range(budget.steps):
+            y = y + budget.step_size * (x - y)
+        return y
+
+    return MinMaxProblem(dim, dim, loss, grad_x, "min-max", best_response, approx_response, name=f"quartic:{dim}")
+
+
+# name -> problem kinds; "minmax_constant_approx" drops the exact oracle
+INNER_DRIVERS = {
+    "minmax_heuristic": ("sqrt", "quadratic_saddle", "quartic"),
+    "minmax_constant": ("sqrt", "quadratic_saddle", "quadratic_minmin", "quartic"),
+    "minmax_constant_approx": ("sqrt", "quadratic_saddle", "quadratic_minmin", "quartic"),
+}
+
+
+@st.composite
+def inner_runs(draw, name):
+    kind = draw(st.sampled_from(INNER_DRIVERS[name]))
+    dim = 1 if kind == "sqrt" else draw(st.integers(1, 5))
+    problem = quartic(dim) if kind == "quartic" else get_problem(kind if kind == "sqrt" else f"{kind}:{dim}")
+    x0 = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)))
+    # the ranges keep every run finite: the frozen test accepts any step on a
+    # problem linear in x, where gamma >= 2 diverges, and a constant step on
+    # the quartic is stable only below about 2 / (3 x**2 + 1)
+    if name == "minmax_heuristic":
+        gamma = 10.0 ** draw(st.floats(-2.0, 3.0 if kind == "quartic" else 0.25))
+    else:
+        gamma = 10.0 ** draw(st.floats(-3.0, -1.3))
+    params = BacktrackParams(
+        gamma=gamma,
+        alpha=draw(st.floats(0.05, 0.95)),
+        delta=draw(st.floats(0.01, 0.9)),
+        rho=draw(st.floats(0.05, 3.0)),
+        k_max=draw(st.integers(1, 10)),
+    )
+    budget = InnerAscentBudget(
+        steps=draw(st.integers(1, 5)), step_size=draw(st.floats(0.05, 0.95)), warm_start=draw(st.booleans())
+    )
+    stop = StopRule(
+        grad_tol=draw(st.sampled_from([0.0, 1e-8])),
+        max_iters=draw(st.integers(1, 100)),
+        max_oracle_calls=draw(st.integers(1, 200)),
+    )
+    return problem, x0, params, budget, stop
+
+
+@pytest.mark.parametrize("name", sorted(INNER_DRIVERS))
+@hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@hypothesis.given(data=st.data())
+def test_inner_oracle_driver_invariants(name, data):
+    problem, x0, params, budget, stop = data.draw(inner_runs(name))
+    calls = [0]
+
+    def counted(oracle):
+        def call(*args):
+            calls[0] += 1
+            return oracle(*args)
+
+        return call
+
+    problem.approx_response = counted(problem.approx_response)
+    problem.best_response = None if name == "minmax_constant_approx" else counted(problem.best_response)
+    if name == "minmax_heuristic":
+        traj = minmax_heuristic(problem, x0, params, budget, stop)
+    else:
+        traj = minmax_constant(problem, x0, params.gamma, stop, budget)
+    records = traj.records
+    last = records[-1]
+
+    # every inner solve is one oracle call, within the budget
+    assert calls[0] == last.oracle_calls <= stop.max_oracle_calls
+
+    if name == "minmax_heuristic":
+        for r in records[:-1]:
+            assert r.oracle_calls == r.n + 1
+            assert r.step > 0.0
+        # a budget close is evaluated with the last response, at no oracle call
+        assert last.oracle_calls == (last.n if traj.terminal_status == ORACLE_BUDGET else last.n + 1)
+        ks = traj.ks
+        if traj.terminal_status == K_CAP_EXCEEDED:
+            assert ks[-1] == params.k_max + 1
+            ks = ks[:-1]
+        else:
+            assert last.k == 0  # no search was made from it
+        assert np.all(ks <= params.k_max)
+    else:
+        for r in records[:-1]:
+            assert r.oracle_calls == r.n + 2
+            assert r.step == params.gamma
+        assert last.oracle_calls == last.n + 1
+        assert np.all(traj.ks == 0)
+
+
+def test_heuristic_search_backtracks_on_the_quartic():
+    # at x = 2 the response is about 2 and |grad| about 10: steps 10 * 2**-k for k <= 4 overshoot;
+    # k restarts at 0 each iteration, so it can fall again
+    traj = minmax_heuristic(quartic(1), [2.0], BacktrackParams(gamma=10.0), stop=StopRule(max_iters=3))
+    assert traj.ks.tolist() == [5, 4, 2, 0]
+    # out of oracle calls, the run still takes its free step and closes at the last response
+    spent = minmax_heuristic(quartic(1), [2.0], BacktrackParams(gamma=10.0), stop=StopRule(max_oracle_calls=2))
+    assert spent.terminal_status == ORACLE_BUDGET
+    assert spent.ks.tolist() == [5, 4, 0]
+    assert spent.oracle_calls.tolist() == [1, 2, 2]
+    capped = minmax_heuristic(quartic(1), [2.0], BacktrackParams(gamma=10.0, k_max=3))
+    assert capped.terminal_status == K_CAP_EXCEEDED
+    assert capped.ks.tolist() == [4]

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from holderopt import (
     make_quadratic_saddle,
     make_sqrt_problem,
 )
+from holderopt.problems import _pair_distances
 
 ALL_PROBLEMS = [
     make_sqrt_problem,
@@ -44,10 +46,11 @@ def test_certificate_validation():
 
 
 def test_smooth_objective_counts_and_checks_shape():
-    obj = SmoothObjective(2, lambda x: (float(x @ x), 2.0 * x))
-    assert obj.call_counter == 0
+    calls = []
+    obj = SmoothObjective(2, lambda x: calls.append(x) or (float(x @ x), 2.0 * x))
+    assert len(calls) == 0
     v, g = obj.eval([1.0, 2.0])
-    assert obj.call_counter == 1
+    assert len(calls) == 1
     assert v == 5.0
     np.testing.assert_array_equal(g, [2.0, 4.0])
     with pytest.raises(ValueError):
@@ -248,10 +251,45 @@ def test_estimate_constants_rejects_bad_input():
         estimate_holder_constants(obj, [(-1.0, 1.0), (0.0, 1.0)])
 
 
-def test_import_loads_no_scipy():
-    """scipy is only needed by estimate_holder_constants, which imports it on use."""
+def test_pair_distances_match_scipy_pdist():
+    from scipy.spatial.distance import pdist
+
+    rng = np.random.default_rng(5)
+    for n, d in [(4096, 1), (64, 2), (300, 5), (40, 9), (2, 3), (1, 2)]:
+        points = rng.standard_normal((n, d))
+        np.testing.assert_array_equal(_pair_distances(points), pdist(points))
+
+
+def subprocess_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(holderopt.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_import_loads_no_scipy():
+    """holderopt needs no scipy at run time, and importing it loads none."""
     code = "import sys, holderopt; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_estimate_constants_without_scipy():
+    """With every scipy import refused, the estimate runs and returns the same certificate."""
+    code = textwrap.dedent(
+        """
+        import sys
+
+        class NoScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name.split(".")[0] == "scipy":
+                    raise ImportError(f"{name} is blocked")
+
+        sys.meta_path.insert(0, NoScipy())
+        from holderopt import ValueFunctionView, estimate_holder_constants, make_sqrt_problem
+
+        cert = estimate_holder_constants(ValueFunctionView(make_sqrt_problem()), [(0.0, 1.0)], samples=256)
+        print(repr(cert))
+        """
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, check=True)
+    cert = estimate_holder_constants(ValueFunctionView(make_sqrt_problem()), [(0.0, 1.0)], samples=256)
+    assert out.stdout.strip() == repr(cert)
