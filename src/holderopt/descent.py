@@ -236,9 +236,13 @@ def k_bound(params: BacktrackParams, cert: HolderCertificate) -> float:
     return 1.0 + max(t1, t2) / cert.nu
 
 
-def _check_finite(value: float, grad: np.ndarray, iteration: int) -> None:
-    if not np.isfinite(value) or not np.all(np.isfinite(grad)):
-        raise NumericError("oracle returned a non-finite value or gradient", iteration)
+def _checked_norm(value: float, grad: np.ndarray, iteration: int) -> float:
+    """|grad|, once ``value`` and the norm are finite, and with them every gradient entry."""
+    with np.errstate(over="ignore"):  # an overflowing norm is inf and raises below
+        grad_norm = float(np.linalg.norm(grad))
+    if not (np.isfinite(value) and np.isfinite(grad_norm)):
+        raise NumericError("oracle returned a non-finite value, gradient or gradient norm", iteration)
+    return grad_norm
 
 
 def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, k=0, frozen=False):
@@ -262,7 +266,7 @@ def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, k=0
     oracle call and none is left. A frozen search needs none, so it still
     takes its step and closes on ``evaluate.frozen(x)``, evaluated with the
     last response. ``k > params.k_max`` stops with :data:`K_CAP_EXCEEDED`; a
-    non-finite evaluation raises :class:`NumericError`.
+    non-finite value, gradient or gradient norm raises :class:`NumericError`.
     """
     if nonmonotone and params.delta_plus is None:
         raise ValueError("non-monotone mode needs params.delta_plus")
@@ -270,13 +274,12 @@ def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, k=0
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     value, grad = evaluate(x)
     calls = 1
-    _check_finite(value, grad, 0)
+    gn = _checked_norm(value, grad, 0)
     records = []
     n = 0
     while True:
         if frozen:
             k = 0
-        gn = float(np.linalg.norm(grad))
         status = CONVERGED if gn <= stop.grad_tol else ITER_BUDGET if n >= stop.max_iters else None
         decrement = nonmonotone and k > 0
         while status is None:
@@ -287,11 +290,11 @@ def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, k=0
             trial = x - step * grad
             if frozen:
                 t_value = evaluate.frozen_loss(trial)
-                _check_finite(t_value, grad, n)
+                _checked_norm(t_value, grad, n)
             else:
                 t_value, t_grad = evaluate(trial)
                 calls += 1
-                _check_finite(t_value, t_grad, n)
+                t_gn = _checked_norm(t_value, t_grad, n)
             if params is None:
                 break
             if decrement and t_value < sufficient_decrease_threshold(value, params.delta_plus, step, gn):
@@ -312,14 +315,14 @@ def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, k=0
         x = trial
         n += 1
         if not frozen:
-            value, grad = t_value, t_grad
+            value, grad, gn = t_value, t_grad, t_gn
         elif calls < stop.max_oracle_calls:
             value, grad = evaluate(x)
             calls += 1
-            _check_finite(value, grad, n)
+            gn = _checked_norm(value, grad, n)
         else:
             value, grad = evaluate.frozen(x)
-            records.append(TrajectoryRecord(n, calls, np.array(x), value, float(np.linalg.norm(grad)), 0.0, 0))
+            records.append(TrajectoryRecord(n, calls, np.array(x), value, _checked_norm(value, grad, n), 0.0, 0))
             return records, ORACLE_BUDGET
 
 

@@ -42,7 +42,11 @@ def param_count(spec: MlpSpec) -> int:
 
 
 def _unpack(spec: MlpSpec, theta: np.ndarray):
-    """Views (W, b) per layer; W has shape (fan_out, fan_in), stored row-major."""
+    """Views (W, b) per layer into ``theta``; W has shape (fan_out, fan_in), stored row-major.
+
+    This is the one statement of the packing layout: writing through the views
+    fills a float parameter or gradient vector.
+    """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (param_count(spec),):
         raise ValueError(f"expected {param_count(spec)} parameters, got shape {theta.shape}")
@@ -66,12 +70,9 @@ def init_params(spec: MlpSpec, seed: int) -> np.ndarray:
     """
     stream = RandomStream(seed, STREAM_INIT)
     theta = np.zeros(param_count(spec))
-    at = 0
-    for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        u = stream.uniform(fan_in * fan_out)
-        theta[at : at + fan_in * fan_out] = bound * (2.0 * u - 1.0)
-        at += fan_in * fan_out + fan_out  # biases stay zero
+    for W, _ in _unpack(spec, theta):  # biases stay zero
+        bound = np.sqrt(6.0 / sum(W.shape))
+        W[...] = bound * (2.0 * stream.uniform(W.size).reshape(W.shape) - 1.0)
     return theta
 
 
@@ -121,20 +122,13 @@ def mlp_backward(spec: MlpSpec, theta, z, upstream) -> np.ndarray:
 
     layers = _unpack(spec, theta)
     acts, pres = _forward_full(spec, theta, Z)
-    grad = np.zeros_like(np.asarray(theta, dtype=float))
-    offsets = []
-    at = 0
-    for W, b in layers:
-        offsets.append(at)
-        at += W.size + b.size
-
+    grad = np.zeros(param_count(spec))
+    grads = _unpack(spec, grad)
     G = U
     for i in range(len(layers) - 1, -1, -1):
-        W, b = layers[i]
-        dW = G.T @ acts[i]
-        db = G.sum(axis=0)
-        grad[offsets[i] : offsets[i] + W.size] = dW.ravel()
-        grad[offsets[i] + W.size : offsets[i] + W.size + b.size] = db
+        (W, _), (dW, db) = layers[i], grads[i]
+        dW[...] = G.T @ acts[i]
+        db[...] = G.sum(axis=0)
         if i > 0:
             G = (G @ W) * (pres[i - 1] > 0.0)
     return grad

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the package in ``src/``."""
+"""Every demo script runs to completion against the package in ``src/``, with warnings as errors."""
 
 import os
 import subprocess
@@ -21,7 +21,6 @@ def test_demo_runs(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     # the comparison demo takes its output directory as its one argument
     args = [str(tmp_path)] if demo.stem == "05_sinkhorn_gan_comparison" else []
-    done = subprocess.run(
-        [sys.executable, str(demo), *args], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
-    )
+    command = [sys.executable, "-X", "dev", "-W", "error", str(demo), *args]
+    done = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

@@ -225,6 +225,35 @@ def test_numeric_error_names_the_iteration_of_a_backtracking_trial(call, iterati
     assert info.value.iteration == iteration
 
 
+def overflow_at(call):
+    """``quadratic()`` in the plane whose evaluation number ``call`` returns the
+    gradient [1e200, 1e200]: every entry is finite, its norm overflows."""
+    calls = [0]
+
+    def fn(x):
+        calls[0] += 1
+        return 0.5 * float(x @ x), (np.full(2, 1e200) if calls[0] == call else np.array(x, dtype=float))
+
+    return SmoothObjective(2, fn)
+
+
+# from [1, 0] both drivers take the steps of the one-dimensional runs above, so
+# the overflow at the start point (call 1) and at the point after one step
+# names the iteration pinned for a NaN at the same call
+@pytest.mark.parametrize("call, iteration", [(1, 0), (2, 0)])
+def test_gradient_norm_overflow_in_a_fixed_step_is_a_numeric_error(call, iteration):
+    with pytest.raises(NumericError) as info:
+        constant_gd(overflow_at(call), [1.0, 0.0], gamma=0.5)
+    assert info.value.iteration == iteration
+
+
+@pytest.mark.parametrize("call, iteration", [(1, 0), (4, 0), (5, 1)])
+def test_gradient_norm_overflow_in_a_backtracking_trial_is_a_numeric_error(call, iteration):
+    with pytest.raises(NumericError) as info:
+        backtrack_holder_gd(overflow_at(call), [1.0, 0.0], BacktrackParams(gamma=4.0, alpha=0.6))
+    assert info.value.iteration == iteration
+
+
 def test_constant_gd_converges_with_small_step():
     traj = constant_gd(quadratic(), [1.0], gamma=0.5, stop=StopRule(grad_tol=1e-10))
     assert traj.terminal_status == CONVERGED

@@ -178,6 +178,25 @@ def test_constant_driver_divergence_raises():
         minmax_constant(prob, [1.0], gamma=10.0)
 
 
+# the saddle's value function is |x|^2 / 2, so from [1, 0] the steps are those
+# of test_descent's backtracking pins: call 4 evaluates the point after one step
+@pytest.mark.parametrize("call, iteration", [(1, 0), (4, 0), (5, 1)])
+@pytest.mark.parametrize("bad", [np.nan, 1e200])
+def test_non_finite_gradient_norm_names_the_iteration(call, iteration, bad):
+    """A NaN gradient and a gradient whose norm overflows fail alike."""
+    prob = make_quadratic_saddle(2)
+    grad_x, calls = prob.grad_x, [0]
+
+    def counted(x, y):
+        calls[0] += 1
+        return np.full(2, bad) if calls[0] == call else grad_x(x, y)
+
+    prob.grad_x = counted
+    with pytest.raises(NumericError) as info:
+        minmax_backtrack(prob, [1.0, 0.0], BacktrackParams(gamma=4.0, alpha=0.6))
+    assert info.value.iteration == iteration
+
+
 def test_constant_driver_validation():
     prob = make_quadratic_minmin(1)
     with pytest.raises(ValueError):
