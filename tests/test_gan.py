@@ -136,6 +136,22 @@ def test_pairwise_distances_plain_euclidean():
     np.testing.assert_allclose(D, [[0.0, 1.0], [5.0, np.sqrt(4 + 16)]])
 
 
+def test_pairwise_distances_2d_path_matches_the_general_form():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n, m = rng.integers(1, 70, size=2)
+        scale = rng.exponential(3.0)
+        Y, X = rng.normal(size=(n, 2)) * scale, rng.normal(size=(m, 2)) * scale
+        diff = Y[:, None, :] - X[None, :, :]
+        np.testing.assert_array_equal(pairwise_distances(Y, X), np.sqrt(np.sum(diff * diff, axis=2)))
+
+
+def test_pairwise_distances_in_three_dimensions():
+    Y = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
+    X = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, -2.0]])
+    np.testing.assert_array_equal(pairwise_distances(Y, X), [[0.0, 3.0], [3.0, 4.0]])
+
+
 def make_small_gan(n=6, eps=0.5):
     spec = MlpSpec((2, 3, 2))
     rng = np.random.default_rng(2)

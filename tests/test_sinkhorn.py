@@ -141,9 +141,11 @@ def test_solve_is_deterministic():
 
 # ------------------------------------------- agreement with a scipy reference
 
-# fixed from float64's eps before comparing: the scaling sweeps round
-# differently from the log-domain reference, which is otherwise the same loop
+# fixed from float64's eps before comparing an unconverged solve: its plain
+# sweeps round differently from the log-domain reference, the same loop otherwise
 ATOL = 1000 * np.finfo(float).eps
+# the reference's tolerance when it stands for the exact plan
+REF_TOL = 1e-14
 
 
 def assert_close_relative(actual, expected):
@@ -153,17 +155,25 @@ def assert_close_relative(actual, expected):
     assert np.all(np.abs(actual - expected) <= ATOL * np.maximum(1.0, np.abs(expected)))
 
 
-def assert_matches_reference(result, C, eps, **solve_args):
-    plan, u, v, duals, sweeps = reference_solve(C, eps, **solve_args)
-    assert result.sweeps == sweeps
-    np.testing.assert_allclose(result.plan, plan, rtol=0, atol=ATOL)
-    assert_close_relative(result.dual_row, u)
-    assert_close_relative(result.dual_col, v)
-    assert_close_relative(result.dual_values, duals)
+def assert_certified(result, tol):
+    """Both marginals within tol, and no fall of the dual beyond rounding."""
+    assert result.marginal_error <= tol
+    assert np.abs(result.plan.sum(axis=0) - 1.0).max() <= tol
+    assert np.abs(result.plan.sum(axis=1) - 1.0).max() <= tol
+    duals = result.dual_values
+    assert duals.shape == (result.sweeps,)
+    assert np.all(np.diff(duals) >= -1e-12 * np.maximum(1.0, np.abs(duals[1:])))
+
+
+def assert_matches_reference(result, C, eps, tol=1e-9, ref_tol=REF_TOL):
+    """The plan within tol of the reference converged to ref_tol, and certified."""
+    plan = reference_solve(C, eps, tol=ref_tol)[0]
+    assert np.abs(result.plan - plan).max() <= tol
+    assert_certified(result, tol)
 
 
 def reference_solve(C, epsilon, tol=1e-9, max_sweeps=100_000):
-    """The sweep loop written directly on scipy.special.logsumexp."""
+    """The plain sweep loop written directly on scipy.special.logsumexp."""
     n = C.shape[0]
     v = np.zeros(n)
     duals = []
@@ -191,20 +201,35 @@ def reference_solve(C, epsilon, tol=1e-9, max_sweeps=100_000):
 @pytest.mark.parametrize("eps", [0.2, 0.02])
 @pytest.mark.parametrize("grid_cost", [False, True])
 def test_solve_matches_scipy_reference(n, eps, grid_cost):
-    """Plan, duals and dual trace within ATOL of the reference, and the same sweeps."""
+    """The plan within tol of a tightly converged reference, both marginals
+    within tol and a dual that never falls."""
     rng = np.random.default_rng(100 + n)
     # costs on a 0.1 grid tie the row and column maxima of (potential - C) / eps
     C = 0.1 * rng.integers(0, 4, (n, n)) if grid_cost else 0.2 * rng.random((n, n))
     assert_matches_reference(sinkhorn_solve(C, eps), C, eps)
 
 
-def test_unconverged_solve_matches_scipy_reference():
-    """The same marginal error as the reference, within ATOL relative."""
+def count_newton_steps(monkeypatch):
+    calls = []
+    newton = sinkhorn_module._newton_row_scaling
+
+    def counted(K):
+        calls.append(K.shape)
+        return newton(K)
+
+    monkeypatch.setattr(sinkhorn_module, "_newton_row_scaling", counted)
+    return calls
+
+
+def test_unconverged_solve_matches_scipy_reference(monkeypatch):
+    """A budget that ends in plain sweeps: the reference's marginal error, within ATOL relative."""
     C = np.random.default_rng(105).random((5, 5)) * 2.0
     with pytest.raises(SinkhornError) as expected:
-        reference_solve(C, 0.02, max_sweeps=300)
+        reference_solve(C, 1.0, tol=1e-12, max_sweeps=5)
+    calls = count_newton_steps(monkeypatch)
     with pytest.raises(SinkhornError) as info:
-        sinkhorn_solve(C, 0.02, max_sweeps=300)
+        sinkhorn_solve(C, 1.0, tol=1e-12, max_sweeps=5)
+    assert calls == []
     assert_close_relative(info.value.marginal_error, expected.value.marginal_error)
 
 
@@ -229,20 +254,58 @@ def test_underflowed_kernel_column_runs_a_log_domain_sweep(monkeypatch):
     result = sinkhorn_solve(C, 0.2)
     # the start's row update, then one log-domain column and row update
     assert calls[:3] == [1, 0, 1]
-    assert_matches_reference(result, C, 0.2)
+    # the reference's own rounding stalls it between 1e-13 and 1e-12
+    assert_matches_reference(result, C, 0.2, ref_tol=1e-12)
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.05])
 def test_far_apart_clouds_rebuild_the_kernel(monkeypatch, eps):
-    """Two 48-point clouds 5 apart: the column scaling outgrows exp(50) and is absorbed."""
+    """Two 48-point clouds 6 apart: the column scaling outgrows exp(50) and is absorbed."""
     rng = np.random.default_rng(0)
     x = 1.5 * rng.normal(size=(48, 2))
-    y = 1.5 * rng.normal(size=(48, 2)) + np.array([5.0, 0.0])
+    y = 1.5 * rng.normal(size=(48, 2)) + np.array([6.0, 0.0])
     C = np.sqrt(((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1))
     calls = count_half_sweeps(monkeypatch)
     result = sinkhorn_solve(C, eps)
     assert 0 in calls  # a log-domain column update ran
-    assert_matches_reference(result, C, eps)
+    # at eps 0.05 the reference's rounding stalls it between 1e-14 and 3e-14
+    assert_matches_reference(result, C, eps, ref_tol={0.1: REF_TOL, 0.05: 3e-14}[eps])
+
+
+def test_stalled_plain_sweeps_converge_by_newton_steps(monkeypatch):
+    """Plain sweeps converge like 1 / (2k) here, since a plan entry is about
+    e^-50: about 5e8 of them would reach the default tol."""
+    C = np.array([[1.0, 0.0], [2.0, 2.0]])
+    calls = count_newton_steps(monkeypatch)
+    result = sinkhorn_solve(C, 0.02)
+    assert result.sweeps <= 50
+    assert calls
+    assert_certified(result, 1e-9)
+
+
+def test_failed_newton_system_falls_back_to_plain_sweeps(monkeypatch):
+    """A Newton system that cannot be solved leaves the solve to plain sweeps,
+    which take as many as the reference."""
+    rng = np.random.default_rng(64)
+    C = rng.random((64, 64))
+    solves = []
+
+    def singular(system, rhs):
+        solves.append(system.shape)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(sinkhorn_module.np.linalg, "solve", singular)
+    result = sinkhorn_solve(C, 0.02)
+    assert solves == [(127, 127)]  # tried once, then plain sweeps for the rest
+    assert result.sweeps == reference_solve(C, 0.02)[-1]
+    assert_certified(result, 1e-9)
+
+
+def test_newton_steps_take_fewer_iterations_than_plain_sweeps():
+    C = np.random.default_rng(105).random((5, 5))
+    result = sinkhorn_solve(C, 0.02)
+    assert result.sweeps < reference_solve(C, 0.02)[-1]
+    assert_certified(result, 1e-9)
 
 
 @pytest.mark.parametrize("axis", [0, 1])

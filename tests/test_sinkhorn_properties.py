@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from holderopt import SinkhornError, sinkhorn_solve
-from test_sinkhorn import ATOL, reference_solve
+from test_sinkhorn import REF_TOL, assert_certified, reference_solve
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -27,18 +27,20 @@ def transport_problems(draw):
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @hypothesis.given(transport_problems())
 def test_random_costs_match_reference(problem):
+    """Where the reference converges, the solver does too, with its plan within
+    TOL of the reference converged to REF_TOL, both marginals within TOL and a
+    dual that never falls; elsewhere a plan it returns is still certified."""
     C, eps = problem
     try:
-        plan, _, _, _, sweeps = reference_solve(C, eps, tol=TOL, max_sweeps=MAX_SWEEPS)
+        reference_solve(C, eps, tol=TOL, max_sweeps=MAX_SWEEPS)
     except SinkhornError:
-        with pytest.raises(SinkhornError):
-            sinkhorn_solve(C, eps, tol=TOL, max_sweeps=MAX_SWEEPS)
+        try:
+            result = sinkhorn_solve(C, eps, tol=TOL, max_sweeps=MAX_SWEEPS)
+        except SinkhornError:
+            return
+        assert_certified(result, TOL)
         return
     result = sinkhorn_solve(C, eps, tol=TOL, max_sweeps=MAX_SWEEPS)
-    assert result.sweeps == sweeps
-    np.testing.assert_allclose(result.plan, plan, rtol=0, atol=ATOL)
-    assert result.marginal_error <= TOL
-    assert np.abs(result.plan.sum(axis=0) - 1.0).max() <= TOL
-    assert np.abs(result.plan.sum(axis=1) - 1.0).max() <= TOL
-    duals = result.dual_values
-    assert np.all(np.diff(duals) >= -1e-12 * np.maximum(1.0, np.abs(duals[1:])))
+    plan = reference_solve(C, eps, tol=REF_TOL)[0]
+    assert np.abs(result.plan - plan).max() <= TOL
+    assert_certified(result, TOL)
