@@ -138,13 +138,12 @@ def pairwise_distances(Y, X) -> np.ndarray:
     """Euclidean distance matrix D[i, j] = |Y_i - X_j| (not squared)."""
     Y = np.asarray(Y, dtype=float)
     X = np.asarray(X, dtype=float)
-    if Y.shape[1] == X.shape[1] == 2:
-        # per coordinate, with no n x n x 2 array; the same bits as the general form
-        dx = Y[:, 0, None] - X[None, :, 0]
-        dy = Y[:, 1, None] - X[None, :, 1]
-        return np.sqrt(dx * dx + dy * dy)
-    diff = Y[:, None, :] - X[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    # summed per coordinate, in order, with no n x m x width difference array
+    D2 = np.zeros((Y.shape[0], X.shape[0]))
+    for k in range(Y.shape[1]):
+        diff = Y[:, k, None] - X[None, :, k]
+        D2 += diff * diff
+    return np.sqrt(D2)
 
 
 @dataclass

@@ -53,14 +53,21 @@ class TransportPlan:
 # plan entry a_i K_ij b_j whose kernel entry underflows is below e^100 * 2.3e-308
 _MAX_LOG_SCALING = 50.0
 
-# Newton steps take over once the last sweep's contraction rate predicts more
-# than this many further sweeps. At 64 points a Newton step (a 127 x 127 solve)
-# costs as much as 10 to 30 sweeps on one core, but a handful of steps replaces
-# hundreds of sweeps, while solves that converge in a few sweeps never switch.
-_SWEEPS_BEFORE_NEWTON = 12
 # the Armijo constant and the shortest step of the Newton line search
 _ARMIJO = 1e-4
 _MIN_NEWTON_STEP = 2.0**-10
+
+
+def _sweeps_before_newton(n: int) -> float:
+    """The sweeps left, at the last contraction rate, above which Newton takes over.
+
+    That is the cost of two Newton steps. One step, a (2n-1) x (2n-1) solve,
+    costs about as much as 4 + n^2 / 512 plain sweeps on one core (measured:
+    2 to 4 at n <= 32, 9 to 19 at 64, 40 to 95 at 128, 84 at 192): a Newton
+    solve takes a handful of steps where plain sweeps would take hundreds,
+    while solves that converge in a few dozen sweeps never switch.
+    """
+    return 8.0 + n * n / 256.0
 
 
 def _check_cost(cost) -> np.ndarray:
@@ -163,8 +170,9 @@ def sinkhorn_solve(cost, epsilon: float, tol: float = 1e-9, max_sweeps: int = 10
     matrix-vector products with the kernel ``K = exp((U_i + V_j - C_ij) / eps)``
     and the plan is ``P_ij = a_i K_ij b_j``. The row scaling is the exact row
     update ``a = 1 / (K b)`` (a plain sweep) until, after some sweep, the
-    ratio of the last two marginal errors predicts more than
-    ``_SWEEPS_BEFORE_NEWTON`` further sweeps, or the error stopped falling.
+    ratio of the last two marginal errors predicts more further sweeps than
+    two Newton steps cost (:func:`_sweeps_before_newton`), or the error
+    stopped falling.
     From then on each iteration folds ``a, b`` into ``U, V``, rebuilds ``K``
     and takes one damped Newton step on the joint dual (see
     :func:`_newton_row_scaling`), keeping its row part as ``log a``. If the
@@ -197,6 +205,7 @@ def sinkhorn_solve(cost, epsilon: float, tol: float = 1e-9, max_sweeps: int = 10
     err = np.inf
     # newton: the next row scaling comes from a Newton step; may_switch: it still may
     newton, may_switch = False, n > 1
+    switch_after = _sweeps_before_newton(n)
     try:
         # overflow, division by zero or an invalid value ends the solve; underflow is expected
         with np.errstate(all="raise", under="ignore"):
@@ -242,7 +251,7 @@ def sinkhorn_solve(cost, epsilon: float, tol: float = 1e-9, max_sweeps: int = 10
                         )
                 if may_switch and not newton and sweep > 1:
                     # sweeps left at the last contraction rate err / last_err, if it holds
-                    newton = math.log(tol / err) < _SWEEPS_BEFORE_NEWTON * math.log(err / last_err)
+                    newton = math.log(tol / err) < switch_after * math.log(err / last_err)
                 if newton:
                     # fold a, b into U, V, so that the step starts at a = b = 1 with P = K
                     U, V = U + epsilon * la, V + epsilon * lb

@@ -136,14 +136,16 @@ def test_pairwise_distances_plain_euclidean():
     np.testing.assert_allclose(D, [[0.0, 1.0], [5.0, np.sqrt(4 + 16)]])
 
 
-def test_pairwise_distances_2d_path_matches_the_general_form():
+def test_pairwise_distances_match_the_difference_array_form():
+    """The per-coordinate sum gives the same bits as summing an n x m x width array."""
     rng = np.random.default_rng(17)
-    for _ in range(200):
-        n, m = rng.integers(1, 70, size=2)
-        scale = rng.exponential(3.0)
-        Y, X = rng.normal(size=(n, 2)) * scale, rng.normal(size=(m, 2)) * scale
-        diff = Y[:, None, :] - X[None, :, :]
-        np.testing.assert_array_equal(pairwise_distances(Y, X), np.sqrt(np.sum(diff * diff, axis=2)))
+    for width in (1, 2, 3, 5):
+        for _ in range(50):
+            n, m = rng.integers(1, 70, size=2)
+            scale = rng.exponential(3.0)
+            Y, X = rng.normal(size=(n, width)) * scale, rng.normal(size=(m, width)) * scale
+            diff = Y[:, None, :] - X[None, :, :]
+            np.testing.assert_array_equal(pairwise_distances(Y, X), np.sqrt(np.sum(diff * diff, axis=2)))
 
 
 def test_pairwise_distances_in_three_dimensions():

@@ -155,21 +155,38 @@ def assert_close_relative(actual, expected):
     assert np.all(np.abs(actual - expected) <= ATOL * np.maximum(1.0, np.abs(expected)))
 
 
-def assert_certified(result, tol):
-    """Both marginals within tol, and no fall of the dual beyond rounding."""
+def assert_certified(result, C, tol):
+    """Both marginals within tol, no fall of the dual beyond rounding, and dual
+    potentials that give the plan, P_ij = exp((dual_row_i + dual_col_j - C_ij) / eps)."""
     assert result.marginal_error <= tol
     assert np.abs(result.plan.sum(axis=0) - 1.0).max() <= tol
     assert np.abs(result.plan.sum(axis=1) - 1.0).max() <= tol
     duals = result.dual_values
     assert duals.shape == (result.sweeps,)
     assert np.all(np.diff(duals) >= -1e-12 * np.maximum(1.0, np.abs(duals[1:])))
+    potentials = result.dual_row[:, None] + result.dual_col[None, :]
+    # rounding of (potentials - C) / eps reached 9e-14 relative, at C = 400 and eps = 0.2
+    np.testing.assert_allclose(np.exp((potentials - C) / result.epsilon), result.plan, rtol=1e-12, atol=0)
 
 
-def assert_matches_reference(result, C, eps, tol=1e-9, ref_tol=REF_TOL):
-    """The plan within tol of the reference converged to ref_tol, and certified."""
-    plan = reference_solve(C, eps, tol=ref_tol)[0]
+def assert_matches_reference(result, C, reference, tol=1e-9):
+    """The plan within tol of a tightly converged reference, the gauge-free sums
+    of dual potentials dual_row_i + dual_col_j near the reference's, and certified.
+
+    Marginals within tol move the potentials, to first order, by at most
+    eps * sqrt(2n) * tol / (1 - s2) in 2-norm, where s2 is the plan's second
+    singular value and 1 - s2 the smallest nonzero eigenvalue of the dual's
+    Hessian times eps; a sum of two potentials moves by sqrt(2) times that.
+    The sums came within 0.15 of this bound on the random costs.
+    """
+    plan, u, v = reference[:3]
     assert np.abs(result.plan - plan).max() <= tol
-    assert_certified(result, tol)
+    n = C.shape[0]
+    s2 = np.linalg.svd(plan, compute_uv=False)[1] if n > 1 else 0.0
+    potentials = result.dual_row[:, None] + result.dual_col[None, :]
+    bound = 2.0 * result.epsilon * np.sqrt(n) * tol / (1.0 - s2)
+    assert np.abs(potentials - (u[:, None] + v[None, :])).max() <= bound
+    assert_certified(result, C, tol)
 
 
 def reference_solve(C, epsilon, tol=1e-9, max_sweeps=100_000):
@@ -206,7 +223,7 @@ def test_solve_matches_scipy_reference(n, eps, grid_cost):
     rng = np.random.default_rng(100 + n)
     # costs on a 0.1 grid tie the row and column maxima of (potential - C) / eps
     C = 0.1 * rng.integers(0, 4, (n, n)) if grid_cost else 0.2 * rng.random((n, n))
-    assert_matches_reference(sinkhorn_solve(C, eps), C, eps)
+    assert_matches_reference(sinkhorn_solve(C, eps), C, reference_solve(C, eps, tol=REF_TOL))
 
 
 def count_newton_steps(monkeypatch):
@@ -255,7 +272,7 @@ def test_underflowed_kernel_column_runs_a_log_domain_sweep(monkeypatch):
     # the start's row update, then one log-domain column and row update
     assert calls[:3] == [1, 0, 1]
     # the reference's own rounding stalls it between 1e-13 and 1e-12
-    assert_matches_reference(result, C, 0.2, ref_tol=1e-12)
+    assert_matches_reference(result, C, reference_solve(C, 0.2, tol=1e-12))
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.05])
@@ -269,7 +286,7 @@ def test_far_apart_clouds_rebuild_the_kernel(monkeypatch, eps):
     result = sinkhorn_solve(C, eps)
     assert 0 in calls  # a log-domain column update ran
     # at eps 0.05 the reference's rounding stalls it between 1e-14 and 3e-14
-    assert_matches_reference(result, C, eps, ref_tol={0.1: REF_TOL, 0.05: 3e-14}[eps])
+    assert_matches_reference(result, C, reference_solve(C, eps, tol={0.1: REF_TOL, 0.05: 3e-14}[eps]))
 
 
 def test_stalled_plain_sweeps_converge_by_newton_steps(monkeypatch):
@@ -280,7 +297,7 @@ def test_stalled_plain_sweeps_converge_by_newton_steps(monkeypatch):
     result = sinkhorn_solve(C, 0.02)
     assert result.sweeps <= 50
     assert calls
-    assert_certified(result, 1e-9)
+    assert_certified(result, C, 1e-9)
 
 
 def test_failed_newton_system_falls_back_to_plain_sweeps(monkeypatch):
@@ -298,14 +315,14 @@ def test_failed_newton_system_falls_back_to_plain_sweeps(monkeypatch):
     result = sinkhorn_solve(C, 0.02)
     assert solves == [(127, 127)]  # tried once, then plain sweeps for the rest
     assert result.sweeps == reference_solve(C, 0.02)[-1]
-    assert_certified(result, 1e-9)
+    assert_certified(result, C, 1e-9)
 
 
 def test_newton_steps_take_fewer_iterations_than_plain_sweeps():
     C = np.random.default_rng(105).random((5, 5))
     result = sinkhorn_solve(C, 0.02)
     assert result.sweeps < reference_solve(C, 0.02)[-1]
-    assert_certified(result, 1e-9)
+    assert_certified(result, C, 1e-9)
 
 
 @pytest.mark.parametrize("axis", [0, 1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from holderopt import SinkhornError, sinkhorn_solve
-from test_sinkhorn import REF_TOL, assert_certified, reference_solve
+from test_sinkhorn import REF_TOL, assert_certified, assert_matches_reference, reference_solve
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -12,6 +12,8 @@ arrays = pytest.importorskip("hypothesis.extra.numpy").arrays
 
 TOL = 1e-9
 MAX_SWEEPS = 2000
+# the budget of the tightly converged reference
+REF_SWEEPS = 10_000
 
 
 @st.composite
@@ -27,9 +29,10 @@ def transport_problems(draw):
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @hypothesis.given(transport_problems())
 def test_random_costs_match_reference(problem):
-    """Where the reference converges, the solver does too, with its plan within
-    TOL of the reference converged to REF_TOL, both marginals within TOL and a
-    dual that never falls; elsewhere a plan it returns is still certified."""
+    """Where the reference converges, the solver does too. Its plan and sums of
+    dual potentials are within TOL of the reference converged to REF_TOL where
+    plain sweeps get there in REF_SWEEPS; otherwise, and where only the solver
+    converges, its plan is certified."""
     C, eps = problem
     try:
         reference_solve(C, eps, tol=TOL, max_sweeps=MAX_SWEEPS)
@@ -38,9 +41,13 @@ def test_random_costs_match_reference(problem):
             result = sinkhorn_solve(C, eps, tol=TOL, max_sweeps=MAX_SWEEPS)
         except SinkhornError:
             return
-        assert_certified(result, TOL)
+        assert_certified(result, C, TOL)
         return
     result = sinkhorn_solve(C, eps, tol=TOL, max_sweeps=MAX_SWEEPS)
-    plan = reference_solve(C, eps, tol=REF_TOL)[0]
-    assert np.abs(result.plan - plan).max() <= TOL
-    assert_certified(result, TOL)
+    try:
+        reference = reference_solve(C, eps, tol=REF_TOL, max_sweeps=REF_SWEEPS)
+    except SinkhornError:
+        # sweeps that crawl on below TOL do not pin the plan down to TOL
+        assert_certified(result, C, TOL)
+        return
+    assert_matches_reference(result, C, reference, TOL)
