@@ -175,9 +175,9 @@ def assert_matches_reference(result, C, reference, tol=1e-9):
 
     Marginals within tol move the potentials, to first order, by at most
     eps * sqrt(2n) * tol / (1 - s2) in 2-norm, where s2 is the plan's second
-    singular value and 1 - s2 the smallest nonzero eigenvalue of the dual's
-    Hessian times eps; a sum of two potentials moves by sqrt(2) times that.
-    The sums came within 0.15 of this bound on the random costs.
+    singular value and 1 - s2 the smallest nonzero eigenvalue of -eps times
+    the dual's Hessian; a sum of two potentials moves by sqrt(2) times that.
+    The sums came within 0.23 of this bound on the random costs.
     """
     plan, u, v = reference[:3]
     assert np.abs(result.plan - plan).max() <= tol

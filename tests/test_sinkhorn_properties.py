@@ -29,10 +29,10 @@ def transport_problems(draw):
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @hypothesis.given(transport_problems())
 def test_random_costs_match_reference(problem):
-    """Where the reference converges, the solver does too. Its plan and sums of
-    dual potentials are within TOL of the reference converged to REF_TOL where
-    plain sweeps get there in REF_SWEEPS; otherwise, and where only the solver
-    converges, its plan is certified."""
+    """Where the reference converges, the solver does too. Its plan and dual
+    potentials match the reference converged to REF_TOL where plain sweeps get
+    there in REF_SWEEPS; otherwise, and where only the solver converges, its
+    plan is certified."""
     C, eps = problem
     try:
         reference_solve(C, eps, tol=TOL, max_sweeps=MAX_SWEEPS)
