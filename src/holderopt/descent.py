@@ -69,7 +69,7 @@ class BacktrackParams:
     alpha: float = 0.5
     delta: float = 0.25
     rho: float = 0.5
-    delta_plus: Optional[float] = None
+    delta_plus: float = 0.95
     k_max: int = 64
 
     def __post_init__(self):
@@ -81,7 +81,7 @@ class BacktrackParams:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if not (self.rho > 0 and np.isfinite(self.rho)):
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
-        if self.delta_plus is not None and not self.delta < self.delta_plus < 1.0:
+        if not self.delta < self.delta_plus < 1.0:
             raise ValueError(
                 f"delta_plus must lie in (delta, 1), got {self.delta_plus} with delta={self.delta}"
             )
@@ -245,7 +245,7 @@ def _checked_norm(value: float, grad: np.ndarray, iteration: int) -> float:
     return grad_norm
 
 
-def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, k=0, frozen=False):
+def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, frozen=False):
     """The one descent loop behind every driver; returns ``(records, status)``.
 
     ``evaluate(x) -> (value, grad)`` is one oracle call; the first is at
@@ -255,9 +255,10 @@ def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, k=0
 
     * none (``params is None``): the trial's evaluation is the next iterate's;
     * the ``params.delta`` decrease test on ``evaluate(trial)``, one call per
-      trial. Each rejection raises ``k``, which carries over between
-      iterations; ``nonmonotone`` first lowers ``k`` by one when the
-      inherited step clears ``params.delta_plus``;
+      trial. ``k`` starts at 0, or at 1 with ``nonmonotone``. Each rejection
+      raises ``k``, which carries over between iterations; ``nonmonotone``
+      first lowers ``k`` by one when the inherited step clears
+      ``params.delta_plus``;
     * with ``frozen``, the same test on ``evaluate.frozen_loss(trial)``, which
       is no oracle call. ``k`` restarts at 0 each iteration, and the accepted
       point is evaluated afresh.
@@ -268,8 +269,6 @@ def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, k=0
     last response. ``k > params.k_max`` stops with :data:`K_CAP_EXCEEDED`; a
     non-finite value, gradient or gradient norm raises :class:`NumericError`.
     """
-    if nonmonotone and params.delta_plus is None:
-        raise ValueError("non-monotone mode needs params.delta_plus")
     stop = stop or StopRule()
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     value, grad = evaluate(x)
@@ -277,6 +276,7 @@ def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, k=0
     gn = _checked_norm(value, grad, 0)
     records = []
     n = 0
+    k = 1 if nonmonotone else 0
     while True:
         if frozen:
             k = 0

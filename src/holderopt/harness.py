@@ -111,7 +111,7 @@ class ExperimentConfig:
     algorithm: str = "backtrack_holder"
     seed: int = 0
     gamma: Optional[float] = None
-    params: BacktrackParams = field(default_factory=lambda: BacktrackParams(delta_plus=0.95))
+    params: BacktrackParams = field(default_factory=BacktrackParams)
     stop: StopRule = field(default_factory=StopRule)
     sample_size: int = 64
     epsilon: Optional[float] = None
@@ -132,8 +132,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choices: {', '.join(ALGORITHMS)}")
         if self.algorithm == "constant" and self.gamma is None:
             raise ValueError("constant needs gamma")
-        if self.algorithm.startswith("nonmonotone") and self.params.delta_plus is None:
-            raise ValueError(f"{self.algorithm} needs params.delta_plus")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.sample_size < 1:
@@ -203,7 +201,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     return traj
 
 
-def compare_and_plot(configs, out_path, out_dir=None, title: str = ""):
+def compare_and_plot(configs, out_path, out_dir=None):
     """Run every config and render one polyline per run into an SVG.
 
     Returns the list of (run id, trajectory) pairs in input order. The y axis
@@ -222,7 +220,7 @@ def compare_and_plot(configs, out_path, out_dir=None, title: str = ""):
         results.append((run_id, traj))
         curves.append((run_id, traj.oracle_calls, traj.f_values))
     log_y = all(np.all(c[2] > 0) for c in curves)
-    svg = render_comparison(curves, title=title, x_label="oracle calls", y_label="objective", log_y=log_y)
+    svg = render_comparison(curves, log_y=log_y)
     write_svg(svg, out_path)
     return results
 
@@ -293,7 +291,7 @@ def config_from_values(values: dict) -> ExperimentConfig:
     def pick(*keys):
         return {key: values[key] for key in keys if key in values}
 
-    params = BacktrackParams(**{"delta_plus": 0.95, **pick("gamma", "alpha", "delta", "delta_plus", "rho", "k_max")})
+    params = BacktrackParams(**pick("gamma", "alpha", "delta", "delta_plus", "rho", "k_max"))
     stop_fields = pick("grad_tol", "max_iters", "max_oracle_calls")
     if values.get("problem") == "sinkhorn_gan" and not {"max_iters", "max_oracle_calls"} & stop_fields.keys():
         stop_fields["max_oracle_calls"] = GAN_ORACLE_BUDGET

@@ -115,9 +115,9 @@ def minmin_backtrack_nonmonotone(
     accepted step still satisfies the plain ``delta`` sufficient decrease.
     """
     _require(problem, "min-min", "minmin_backtrack_nonmonotone")
-    params = params or BacktrackParams(delta_plus=0.95)
+    params = params or BacktrackParams()
     step_fn = lambda k, gn: backtrack_step(k, gn, params)
-    return _run(problem.value_and_grad, problem.start_point(x0), stop, step_fn, params, nonmonotone=True, k=1)
+    return _run(problem.value_and_grad, problem.start_point(x0), stop, step_fn, params, nonmonotone=True)
 
 
 def minmin_armijo_nonmonotone(
@@ -128,9 +128,9 @@ def minmin_armijo_nonmonotone(
 ) -> Trajectory:
     """As :func:`minmin_backtrack_nonmonotone` with the plain geometric step gamma * alpha**k."""
     _require(problem, "min-min", "minmin_armijo_nonmonotone")
-    params = params or BacktrackParams(delta_plus=0.95)
+    params = params or BacktrackParams()
     step_fn = lambda k, gn: params.gamma * params.alpha**k
-    return _run(problem.value_and_grad, problem.start_point(x0), stop, step_fn, params, nonmonotone=True, k=1)
+    return _run(problem.value_and_grad, problem.start_point(x0), stop, step_fn, params, nonmonotone=True)
 
 
 def minmax_heuristic(

@@ -57,11 +57,12 @@ def _fmt_tick(v: float) -> str:
     return f"{v:g}"
 
 
-def render_comparison(curves, title: str = "", x_label: str = "", y_label: str = "", log_y: bool = False) -> str:
+def render_comparison(curves, log_y: bool = False) -> str:
     """Render one polyline per curve plus axes and a legend.
 
-    ``curves`` is a sequence of (label, x, y) with equal-length 1-d arrays.
-    With ``log_y`` every y must be positive. Returns the SVG document text.
+    ``curves`` is a sequence of (label, x, y) with equal-length 1-d arrays;
+    the axes are labelled "oracle calls" (x) and "objective" (y). With
+    ``log_y`` every y must be positive. Returns the SVG document text.
     """
     if not curves:
         raise ValueError("need at least one curve")
@@ -104,11 +105,6 @@ def render_comparison(curves, title: str = "", x_label: str = "", y_label: str =
         f'viewBox="0 0 {_W} {_H}">'
     )
     out.append(f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="#ffffff"/>')
-    if title:
-        out.append(
-            f'<text x="{_ML + pw / 2:.2f}" y="24" font-family="sans-serif" font-size="15" '
-            f'text-anchor="middle">{escape(title)}</text>'
-        )
 
     # axes
     out.append(
@@ -137,17 +133,15 @@ def render_comparison(curves, title: str = "", x_label: str = "", y_label: str =
             f'<text x="{_ML - 8}" y="{yy + 4:.2f}" font-family="sans-serif" font-size="11" '
             f'text-anchor="end">{_fmt_tick(t)}</text>'
         )
-    if x_label:
-        out.append(
-            f'<text x="{_ML + pw / 2:.2f}" y="{_H - 15}" font-family="sans-serif" font-size="12" '
-            f'text-anchor="middle">{escape(x_label)}</text>'
-        )
-    if y_label:
-        yy = _MT + ph / 2
-        out.append(
-            f'<text x="18" y="{yy:.2f}" font-family="sans-serif" font-size="12" text-anchor="middle" '
-            f'transform="rotate(-90 18 {yy:.2f})">{escape(y_label)}</text>'
-        )
+    out.append(
+        f'<text x="{_ML + pw / 2:.2f}" y="{_H - 15}" font-family="sans-serif" font-size="12" '
+        f'text-anchor="middle">oracle calls</text>'
+    )
+    yy = _MT + ph / 2
+    out.append(
+        f'<text x="18" y="{yy:.2f}" font-family="sans-serif" font-size="12" text-anchor="middle" '
+        f'transform="rotate(-90 18 {yy:.2f})">objective</text>'
+    )
 
     for i, (label, x, y) in enumerate(named):
         color = PALETTE[i % len(PALETTE)]

@@ -290,15 +290,13 @@ def _pair_distances(points: Array) -> Array:
     return out
 
 
-def estimate_holder_constants(
-    obj: SmoothObjective,
-    region,
-    samples: int = 512,
-    seed: int = 0,
-    *,
-    bins: int = 12,
-    gap_span: float = 100.0,
-) -> HolderCertificate:
+# the envelope fit of estimate_holder_constants: log-gap bins, and the factor
+# below the largest gap within which gaps enter the fit
+_ENVELOPE_BINS = 12
+_GAP_SPAN = 100.0
+
+
+def estimate_holder_constants(obj: SmoothObjective, region, samples: int = 512, seed: int = 0) -> HolderCertificate:
     """Estimate a Holder certificate for ``grad obj`` on a box region.
 
     Draws ``samples`` points uniformly in the box (a sequence of ``(lo, hi)``
@@ -308,14 +306,15 @@ def estimate_holder_constants(
 
     Where the inequality binds is the upper envelope of the pair scatter, so
     the exponent comes from a least-squares line through per-bin maxima of the
-    gradient differences, with gaps binned on a log scale. Only gaps within a
-    factor ``gap_span`` of the largest one enter the fit: below that scale the
-    samples are too sparse for a bin maximum to approach the true envelope,
-    and the fit would tilt toward the interior (Lipschitz) behaviour. beta is
-    then inflated to the largest residual so the returned certificate holds on
-    every sampled pair. ``global_flag`` is False: the estimate is local to the
-    region. Diagnostic quality only; for sharp exponents (think sqrt-like
-    corners) use a few thousand samples.
+    gradient differences, with gaps binned on a log scale into
+    ``_ENVELOPE_BINS`` bins. Only gaps within a factor ``_GAP_SPAN`` of the
+    largest one enter the fit: below that scale the samples are too sparse
+    for a bin maximum to approach the true envelope, and the fit would tilt
+    toward the interior (Lipschitz) behaviour. beta is then inflated to the
+    largest residual so the returned certificate holds on every sampled pair.
+    ``global_flag`` is False: the estimate is local to the region. Diagnostic
+    quality only; for sharp exponents (think sqrt-like corners) use a few
+    thousand samples.
 
     Raises ValueError if the region has zero volume or ``samples < 2``.
     """
@@ -342,14 +341,14 @@ def estimate_holder_constants(
         # gradient is constant on the region up to noise; any tiny beta certifies
         return HolderCertificate(beta=1e-12, nu=1.0, global_flag=False)
 
-    fit = nonzero & (dx >= dx.max() / gap_span)
+    fit = nonzero & (dx >= dx.max() / _GAP_SPAN)
     u = np.log(dx[fit])
     v = np.log(dg[fit])
     env_u, env_v = [], []
     if u.size:
-        edges = np.linspace(u.min(), u.max() + 1e-12, bins + 1)
+        edges = np.linspace(u.min(), u.max() + 1e-12, _ENVELOPE_BINS + 1)
         which = np.digitize(u, edges) - 1
-        for b in range(bins):
+        for b in range(_ENVELOPE_BINS):
             members = np.flatnonzero(which == b)
             if members.size == 0:
                 continue

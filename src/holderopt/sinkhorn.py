@@ -8,10 +8,12 @@ each iteration updates the scalings ``a, b``, and the plan is
 matrix-vector products, until the sweeps' contraction rate shows that they
 would be slow; from then on it comes from damped Newton steps on the joint
 dual (Brauer, Clason, Lorenz & Wirth, "A Sinkhorn-Newton method for entropic
-optimal transport", arXiv:1710.06635, 2017). Before a scaling leaves a fixed
-range it is absorbed: the sweep runs in the log domain, its potentials become
-the new ``U, V`` and ``K`` is rebuilt from them. The optimal plan is the
-gradient of the transport objective with respect to the cost matrix.
+optimal transport", arXiv:1710.06635, 2017). Where a Newton step fails, that
+iteration takes a plain sweep, and the rule decides again. Before a scaling
+leaves a fixed range it is absorbed: the sweep runs in the log domain, its
+potentials become the new ``U, V`` and ``K`` is rebuilt from them. The optimal
+plan is the gradient of the transport objective with respect to the cost
+matrix.
 """
 
 from __future__ import annotations
@@ -177,8 +179,9 @@ def sinkhorn_solve(cost, epsilon: float, tol: float = 1e-9, max_sweeps: int = 10
     and takes one damped Newton step on the joint dual (see
     :func:`_newton_row_scaling`), keeping its row part as ``log a``. If the
     Newton system is singular, its direction is no ascent or the line search
-    falls below ``_MIN_NEWTON_STEP``, plain sweeps finish the solve. A 1x1
-    cost converges in one sweep and never switches.
+    falls below ``_MIN_NEWTON_STEP``, that iteration takes a plain sweep, and
+    the rule decides again. A 1x1 cost converges in one sweep and never
+    switches.
 
     A column update whose ``b`` would leave ``exp(+-_MAX_LOG_SCALING)``, for
     example where a column of ``K`` underflowed, runs its column and row
@@ -203,8 +206,8 @@ def sinkhorn_solve(cost, epsilon: float, tol: float = 1e-9, max_sweeps: int = 10
     work = np.empty_like(C)
     duals = []
     err = np.inf
-    # newton: the next row scaling comes from a Newton step; may_switch: it still may
-    newton, may_switch = False, n > 1
+    # the next row scaling comes from a Newton step
+    newton = False
     switch_after = _sweeps_before_newton(n)
     try:
         # overflow, division by zero or an invalid value ends the solve; underflow is expected
@@ -249,7 +252,7 @@ def sinkhorn_solve(cost, epsilon: float, tol: float = 1e-9, max_sweeps: int = 10
                             sweeps=sweep,
                             dual_values=np.array(duals),
                         )
-                if may_switch and not newton and sweep > 1:
+                if not newton and sweep > 1:
                     # sweeps left at the last contraction rate err / last_err, if it holds
                     newton = math.log(tol / err) < switch_after * math.log(err / last_err)
                 if newton:
@@ -261,7 +264,7 @@ def sinkhorn_solve(cost, epsilon: float, tol: float = 1e-9, max_sweeps: int = 10
                     if la is not None:
                         a = np.exp(la)
                         continue
-                    newton = may_switch = False
+                    newton = False
                     Kb = K.sum(axis=1)
                 a = 1.0 / Kb
                 la = np.log(a)
@@ -274,8 +277,6 @@ def sinkhorn_solve(cost, epsilon: float, tol: float = 1e-9, max_sweeps: int = 10
     )
 
 
-def sinkhorn_divergence(cost, epsilon: float, tol: float = 1e-9, max_sweeps: int = 100_000) -> float:
+def sinkhorn_divergence(cost, epsilon: float, tol: float = 1e-9) -> float:
     """Objective value <P, C> + eps * sum P log P at the converged plan."""
-    C = _check_cost(cost)
-    result = sinkhorn_solve(C, epsilon, tol=tol, max_sweeps=max_sweeps)
-    return entropic_objective(result.plan, C, epsilon)
+    return entropic_objective(sinkhorn_solve(cost, epsilon, tol=tol).plan, cost, epsilon)

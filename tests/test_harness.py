@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from holderopt import (
-    BacktrackParams,
     ExperimentConfig,
     GanObjective,
     MlpSpec,
@@ -100,8 +99,6 @@ def test_config_validation():
         ExperimentConfig(algorithm="newton")
     with pytest.raises(ValueError, match="gamma"):
         ExperimentConfig(algorithm="constant")
-    with pytest.raises(ValueError, match="delta_plus"):
-        ExperimentConfig(algorithm="nonmonotone_holder", params=BacktrackParams())
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig(seed=-1)
     with pytest.raises(ValueError, match="sample_size"):

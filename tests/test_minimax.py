@@ -84,12 +84,22 @@ def test_sense_and_oracle_preconditions():
         minmax_backtrack(saddle, np.ones(2))
 
 
-def test_nonmonotone_needs_delta_plus():
-    prob = make_quadratic_minmin(2)
+@pytest.mark.parametrize("driver", [minmin_backtrack_nonmonotone, minmin_armijo_nonmonotone])
+def test_nonmonotone_default_delta_plus_is_095(driver):
+    x0 = np.array([3.0, -2.0])
+    default = driver(make_quadratic_minmin(2), x0, params=BacktrackParams(gamma=2.0))
+    explicit = driver(make_quadratic_minmin(2), x0, params=BacktrackParams(gamma=2.0, delta_plus=0.95))
+    assert len(default.records) == len(explicit.records) > 2
+    assert default.terminal_status == explicit.terminal_status
+    for a, b in zip(default.records, explicit.records):
+        np.testing.assert_array_equal(a.x, b.x)
+        assert (a.oracle_calls, a.f_value, a.step, a.k) == (b.oracle_calls, b.f_value, b.step, b.k)
+
+
+def test_delta_at_or_above_the_default_delta_plus_needs_delta_plus():
     with pytest.raises(ValueError, match="delta_plus"):
-        minmin_backtrack_nonmonotone(prob, np.ones(2), params=BacktrackParams())
-    with pytest.raises(ValueError, match="delta_plus"):
-        minmin_armijo_nonmonotone(prob, np.ones(2), params=BacktrackParams())
+        BacktrackParams(delta=0.96)
+    BacktrackParams(delta=0.96, delta_plus=0.98)
 
 
 def test_record_values_match_value_function():

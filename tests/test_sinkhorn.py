@@ -301,8 +301,9 @@ def test_stalled_plain_sweeps_converge_by_newton_steps(monkeypatch):
 
 
 def test_failed_newton_system_falls_back_to_plain_sweeps(monkeypatch):
-    """A Newton system that cannot be solved leaves the solve to plain sweeps,
-    which take as many as the reference."""
+    """A Newton system that cannot be solved leaves its iteration to a plain
+    sweep; with every system failing the solve takes as many sweeps as the
+    reference, and the rule asks for Newton again along the way."""
     rng = np.random.default_rng(64)
     C = rng.random((64, 64))
     solves = []
@@ -313,9 +314,22 @@ def test_failed_newton_system_falls_back_to_plain_sweeps(monkeypatch):
 
     monkeypatch.setattr(sinkhorn_module.np.linalg, "solve", singular)
     result = sinkhorn_solve(C, 0.02)
-    assert solves == [(127, 127)]  # tried once, then plain sweeps for the rest
+    assert len(solves) > 1
+    assert all(shape == (127, 127) for shape in solves)
     assert result.sweeps == reference_solve(C, 0.02)[-1]
     assert_certified(result, C, 1e-9)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_gaussian_clouds_converge_after_a_failed_newton_step(seed):
+    """Two standard-normal 64-point clouds at eps 0.02. On most seeds a first
+    Newton step fails its line search; plain sweeps from there still stand at
+    a marginal error of 3e-5 to 1.5e-4 after 20 000 iterations, while retrying
+    Newton after the next sweep converges in 16 to 44 iterations."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((64, 2)), rng.standard_normal((64, 2))
+    C = np.sqrt(((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1))
+    assert_certified(sinkhorn_solve(C, 0.02, max_sweeps=100), C, 1e-9)
 
 
 def test_newton_steps_take_fewer_iterations_than_plain_sweeps():
