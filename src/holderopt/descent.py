@@ -236,8 +236,19 @@ def k_bound(params: BacktrackParams, cert: HolderCertificate) -> float:
     return 1.0 + max(t1, t2) / cert.nu
 
 
+_FLOAT_MAX = np.finfo(float).max
+
+
 def _checked_norm(value: float, grad: np.ndarray, iteration: int) -> float:
     """|grad|, once ``value`` and the norm are finite, and with them every gradient entry."""
+    # np.linalg.norm's own formula, sqrt(g.g), with no errstate guard once no |g_i| is
+    # large enough for the sum of squares to overflow; a NaN entry fails this screen too
+    if (
+        grad.dtype == np.float64
+        and math.isfinite(value)
+        and np.abs(grad).max(initial=0.0) <= math.sqrt(_FLOAT_MAX / max(grad.size, 1))
+    ):
+        return math.sqrt(grad.dot(grad))
     with np.errstate(over="ignore"):  # an overflowing norm is inf and raises below
         grad_norm = float(np.linalg.norm(grad))
     if not (np.isfinite(value) and np.isfinite(grad_norm)):

@@ -156,9 +156,20 @@ class GanObjective:
     ``best_response``, ``loss`` and ``grad_x`` are the oracles of
     :func:`as_minmin_problem`. They share one generator evaluation per θ:
     the generated points Y and cost C of the last θ are kept, read-only, in
-    one ``(θ copy, Y, C)`` entry keyed on the bytes of θ. The same θ gives the
-    same bits whatever was evaluated before; ``dataclasses.replace`` makes a
-    copy with no kept entry.
+    one ``(θ copy, Y, C)`` entry keyed on the bytes of θ, so ``cost(θ)`` has
+    the same bits whatever was evaluated before.
+
+    Each Sinkhorn solve starts from the column potential of the last solve
+    that returned (gauge ``V[-1] = 0``), since consecutive calls of a step
+    search come at nearby θ; the first solve starts from zero. Results
+    therefore depend on the calls made before, under a two-part contract:
+
+    * the same sequence of calls gives the same bits, so reruns write the
+      same trajectories;
+    * every plan is a solve certified to ``sinkhorn_tol``: within that
+      tolerance of a tightly converged solve started from zero.
+
+    ``dataclasses.replace`` makes a copy with nothing kept, which starts cold.
     """
 
     spec: MlpSpec
@@ -182,6 +193,7 @@ class GanObjective:
         if not (self.epsilon > 0 and np.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         self._kept = None
+        self._dual_col = None
 
     def _generated(self, theta):
         """(Y, C) at theta, computed once per distinct θ (bitwise; 0.0 and -0.0 differ)."""
@@ -200,8 +212,10 @@ class GanObjective:
         return self._generated(theta)[1]
 
     def best_response(self, theta) -> np.ndarray:
-        """The flat optimal plan at θ from one Sinkhorn solve."""
-        return sinkhorn_solve(self.cost(theta), self.epsilon, tol=self.sinkhorn_tol).plan.ravel()
+        """The flat optimal plan at θ from one Sinkhorn solve, started from the last one's."""
+        result = sinkhorn_solve(self.cost(theta), self.epsilon, tol=self.sinkhorn_tol, dual_col=self._dual_col)
+        self._dual_col = result.dual_col - result.dual_col[-1]
+        return result.plan.ravel()
 
     def loss(self, theta, p) -> float:
         n = self.data.shape[0]

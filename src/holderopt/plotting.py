@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -51,6 +50,12 @@ def _decade_ticks(lo: float, hi: float):
     hi_e = math.ceil(math.log10(hi))
     stride = max(1, (hi_e - lo_e) // 8)
     return [10.0**e for e in range(lo_e, hi_e + 1, stride)]
+
+
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, ``&`` first, as xml.sax.saxutils.escape
+    does; that module imports a network stack."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt_tick(v: float) -> str:
@@ -154,7 +159,7 @@ def render_comparison(curves, log_y: bool = False) -> str:
         ly = _MT + 14 + 20 * i
         out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 24}" y2="{ly}" stroke="{color}" stroke-width="1.5"/>')
         out.append(
-            f'<text x="{lx + 30}" y="{ly + 4}" font-family="sans-serif" font-size="11">{escape(label)}</text>'
+            f'<text x="{lx + 30}" y="{ly + 4}" font-family="sans-serif" font-size="11">{_escape(label)}</text>'
         )
 
     out.append("</svg>")

@@ -14,6 +14,10 @@ leaves a fixed range it is absorbed: the sweep runs in the log domain, its
 potentials become the new ``U, V`` and ``K`` is rebuilt from them. The optimal
 plan is the gradient of the transport objective with respect to the cost
 matrix.
+
+A solve may start from a given column potential. :class:`holderopt.gan.GanObjective`
+passes on the one of its last solve, since consecutive oracle calls of a step
+search solve nearby costs.
 """
 
 from __future__ import annotations
@@ -157,8 +161,17 @@ def _newton_row_scaling(K) -> np.ndarray | None:
     return None
 
 
-def sinkhorn_solve(cost, epsilon: float, tol: float = 1e-9, max_sweeps: int = 100_000) -> TransportPlan:
+def sinkhorn_solve(
+    cost, epsilon: float, tol: float = 1e-9, max_sweeps: int = 100_000, *, dual_col=None
+) -> TransportPlan:
     """Run scaling iterations until both marginals are within ``tol`` in max norm.
+
+    ``dual_col`` is the column potential ``V`` to start from, a finite vector
+    of shape ``(n,)``, for example the ``dual_col`` of a solve of a nearby
+    cost; ``None`` starts from ``V = 0``. The first row update is the exact
+    one for that ``V``, so a start that is already optimal stops after one
+    iteration. The start changes how many iterations a solve takes and the
+    last bits of its plan, never its tolerance.
 
     One iteration obtains a row scaling, then makes the exact column update
     for it, then records the dual objective and tests the marginals.
@@ -200,8 +213,14 @@ def sinkhorn_solve(cost, epsilon: float, tol: float = 1e-9, max_sweeps: int = 10
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
-
     n = C.shape[0]
+    if dual_col is None:
+        V = np.zeros(n)
+    else:
+        V = np.array(dual_col, dtype=float)
+        if V.shape != (n,) or not np.all(np.isfinite(V)):
+            raise ValueError(f"dual_col must be a finite vector of shape ({n},), got shape {V.shape}")
+
     lo, hi = math.exp(-_MAX_LOG_SCALING), math.exp(_MAX_LOG_SCALING)
     work = np.empty_like(C)
     duals = []
@@ -212,7 +231,6 @@ def sinkhorn_solve(cost, epsilon: float, tol: float = 1e-9, max_sweeps: int = 10
     try:
         # overflow, division by zero or an invalid value ends the solve; underflow is expected
         with np.errstate(all="raise", under="ignore"):
-            V = np.zeros(n)
             U = _half_sweep(V[None, :], C, epsilon, work, axis=1)
             K = _kernel(U, V, C, epsilon, work)
             base = U.sum() + V.sum()

@@ -1,5 +1,7 @@
 """Dense generator forward/backward passes and the transport fitting objective."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from holderopt import (
     pairwise_distances,
     param_count,
     sinkhorn_divergence,
+    sinkhorn_solve,
 )
+from test_sinkhorn import REF_TOL, assert_matches_reference, reference_solve
 
 
 def transport_divergence(gan, theta):
@@ -238,18 +242,69 @@ def test_one_oracle_call_evaluates_the_generator_once(monkeypatch):
     assert calls == {"mlp_forward": 1, "pairwise_distances": 1, "mlp_backward": 1}
 
 
-def test_kept_evaluation_matches_a_fresh_objective():
-    """Results never depend on what was evaluated before, nor on the θ object."""
+def evaluate_along(gan, thetas):
+    """(plan, value, gradient) at each θ in turn, as one oracle call makes them."""
+    out = []
+    for theta in thetas:
+        p = gan.best_response(theta)
+        out.append((p, gan.loss(theta, p), gan.grad_x(theta, p)))
+    return out
+
+
+def theta_sequence(gan):
+    """Nearby θ, as a step search makes them, then a far one and a return."""
+    theta = init_params(gan.spec, seed=3)
+    direction = init_params(gan.spec, seed=4)
+    return [theta - 0.05 * k * direction for k in range(6)] + [direction, theta]
+
+
+def test_same_calls_give_the_same_bits():
+    """Two fresh objectives fed the same θ sequence agree bit for bit, and a
+    ``dataclasses.replace`` copy of a used objective starts as a fresh one."""
+    thetas = theta_sequence(make_small_gan())
+    used = make_small_gan()
+    runs = [evaluate_along(make_small_gan(), thetas), evaluate_along(used, thetas)]
+    runs.append(evaluate_along(dataclasses.replace(used), thetas))
+    for other in runs[1:]:
+        for (p, value, grad), (p2, value2, grad2) in zip(runs[0], other):
+            assert p.tobytes() == p2.tobytes()
+            assert np.float64(value).tobytes() == np.float64(value2).tobytes()
+            assert grad.tobytes() == grad2.tobytes()
+
+
+def test_every_warm_started_plan_is_certified_against_a_cold_solve(monkeypatch):
+    """Each solve along the sequence starts from the last one's potentials,
+    takes fewer iterations than cold solves in all, and gives a certified plan
+    within tol of a cold, tightly converged solve of the same cost."""
+    import holderopt.gan
+
+    gan = make_small_gan(eps=0.05)
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(sinkhorn_solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(holderopt.gan, "sinkhorn_solve", recorded)
+    thetas = theta_sequence(gan)
+    evaluate_along(gan, thetas)
+    assert len(results) == len(thetas)
+    cold_sweeps = 0
+    for theta, result in zip(thetas, results):
+        C = gan.cost(theta)
+        assert_matches_reference(result, C, reference_solve(C, gan.epsilon, tol=REF_TOL), tol=gan.sinkhorn_tol)
+        cold_sweeps += sinkhorn_solve(C, gan.epsilon, tol=gan.sinkhorn_tol).sweeps
+    assert sum(result.sweeps for result in results) < cold_sweeps
+
+
+def test_cost_bits_do_not_depend_on_history():
+    """cost(θ) never depends on what was evaluated before, nor on the θ object."""
     gan = make_small_gan()
     theta1 = init_params(gan.spec, seed=3)
     theta2 = init_params(gan.spec, seed=4)
-    view = ValueFunctionView(as_minmin_problem(gan))
 
     def check(theta):
-        value, grad = view.eval(theta)
-        fresh_value, fresh_grad = ValueFunctionView(as_minmin_problem(make_small_gan())).eval(theta.copy())
-        assert np.float64(value).tobytes() == np.float64(fresh_value).tobytes()
-        assert grad.tobytes() == fresh_grad.tobytes()
+        gan.best_response(theta)
         assert gan.cost(theta).tobytes() == make_small_gan().cost(theta.copy()).tobytes()
 
     for theta in (theta1, theta2, theta1):

@@ -277,6 +277,17 @@ def test_compare_and_plot_deterministic_svg(tmp_path):
         compare_and_plot([], tmp_path / "c.svg")
 
 
+def test_legend_labels_are_escaped_as_by_saxutils():
+    from xml.sax.saxutils import escape
+
+    from holderopt.plotting import render_comparison
+
+    labels = ["a<b>&c", "&amp; &lt;", "plain"]
+    svg = render_comparison([(label, [0.0, 1.0], [1.0, 2.0]) for label in labels])
+    for label in labels:
+        assert f'font-size="11">{escape(label)}</text>' in svg
+
+
 def test_compare_and_plot_rejects_repeated_run_ids(tmp_path):
     configs = [
         ExperimentConfig(problem="sqrt", algorithm="constant:0.05"),

@@ -272,6 +272,13 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_loads_no_network_stack():
+    """Importing holderopt loads no HTTP, TLS, mail or SAX module."""
+    code = "import sys, holderopt; print([m for m in ('http.client', 'ssl', 'email', 'xml.sax') if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_estimate_constants_without_scipy():
     """With every scipy import refused, the estimate runs and returns the same certificate."""
     code = textwrap.dedent(

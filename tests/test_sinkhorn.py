@@ -339,6 +339,25 @@ def test_newton_steps_take_fewer_iterations_than_plain_sweeps():
     assert_certified(result, C, 1e-9)
 
 
+@pytest.mark.parametrize("n, eps", [(2, 0.2), (5, 0.02), (64, 0.2), (64, 0.02)])
+def test_start_at_a_converged_dual_col_stops_after_one_iteration(n, eps):
+    """From its own converged column potential, a solve's first row update
+    already meets the tolerance; at n 5 and eps 0.02 the cold solve ends in
+    Newton steps."""
+    C = 0.2 * np.random.default_rng(100 + n).random((n, n))
+    cold = sinkhorn_solve(C, eps)
+    warm = sinkhorn_solve(C, eps, dual_col=cold.dual_col)
+    assert cold.sweeps > 1
+    assert warm.sweeps == 1
+    assert_matches_reference(warm, C, reference_solve(C, eps, tol=REF_TOL))
+
+
+@pytest.mark.parametrize("dual_col", [np.zeros(3), np.zeros((4, 1)), [0.0, np.nan, 0.0, 0.0], [0.0, 0.0, np.inf, 0.0]])
+def test_dual_col_validation(dual_col):
+    with pytest.raises(ValueError, match="dual_col"):
+        sinkhorn_solve(np.ones((4, 4)), epsilon=0.1, dual_col=dual_col)
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 def test_logsumexp_matches_scipy_with_ties(axis):
     rng = np.random.default_rng(21)
