@@ -78,6 +78,9 @@ def init_params(spec: MlpSpec, seed: int) -> np.ndarray:
 
 def _forward_full(spec: MlpSpec, theta, Z):
     """Activations and pre-activations for a batch Z of shape (m, widths[0])."""
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] != spec.widths[0]:
+        raise ValueError(f"expected a batch of input width {spec.widths[0]}, got shape {Z.shape}")
     layers = _unpack(spec, theta)
     acts = [Z]
     pres = []
@@ -90,21 +93,24 @@ def _forward_full(spec: MlpSpec, theta, Z):
     return acts, pres
 
 
-def _as_batch(spec: MlpSpec, z):
-    Z = np.asarray(z, dtype=float)
-    single = Z.ndim == 1
-    if single:
-        Z = Z[None, :]
-    if Z.ndim != 2 or Z.shape[1] != spec.widths[0]:
-        raise ValueError(f"expected input width {spec.widths[0]}, got shape {np.shape(z)}")
-    return Z, single
+def _backprop(spec: MlpSpec, theta, acts, G) -> np.ndarray:
+    """Gradient in theta of <G, output>, back through the activations ``acts`` of a pass at theta."""
+    layers = _unpack(spec, theta)
+    grad = np.zeros(param_count(spec))
+    grads = _unpack(spec, grad)
+    for i in range(len(layers) - 1, -1, -1):
+        (W, _), (dW, db) = layers[i], grads[i]
+        dW[...] = G.T @ acts[i]
+        db[...] = G.sum(axis=0)
+        if i > 0:
+            # a ReLU output is positive exactly where its pre-activation is
+            G = (G @ W) * (acts[i] > 0.0)
+    return grad
 
 
 def mlp_forward(spec: MlpSpec, theta, z) -> np.ndarray:
-    """Network output for a single input (d,) or a batch (m, d)."""
-    Z, single = _as_batch(spec, z)
-    out = _forward_full(spec, theta, Z)[0][-1]
-    return out[0] if single else out
+    """Network outputs (m, widths[-1]) for a batch z of shape (m, widths[0])."""
+    return _forward_full(spec, theta, z)[0][-1]
 
 
 def mlp_backward(spec: MlpSpec, theta, z, upstream) -> np.ndarray:
@@ -113,25 +119,11 @@ def mlp_backward(spec: MlpSpec, theta, z, upstream) -> np.ndarray:
     ``upstream`` matches the output shape. ReLU contributes zero derivative at
     exactly zero pre-activation.
     """
-    Z, single = _as_batch(spec, z)
+    acts = _forward_full(spec, theta, z)[0]
     U = np.asarray(upstream, dtype=float)
-    if single:
-        U = U[None, :]
-    if U.shape != (Z.shape[0], spec.widths[-1]):
-        raise ValueError(f"upstream shape {U.shape} does not match output ({Z.shape[0]}, {spec.widths[-1]})")
-
-    layers = _unpack(spec, theta)
-    acts, pres = _forward_full(spec, theta, Z)
-    grad = np.zeros(param_count(spec))
-    grads = _unpack(spec, grad)
-    G = U
-    for i in range(len(layers) - 1, -1, -1):
-        (W, _), (dW, db) = layers[i], grads[i]
-        dW[...] = G.T @ acts[i]
-        db[...] = G.sum(axis=0)
-        if i > 0:
-            G = (G @ W) * (pres[i - 1] > 0.0)
-    return grad
+    if U.shape != acts[-1].shape:
+        raise ValueError(f"upstream shape {U.shape} does not match output {acts[-1].shape}")
+    return _backprop(spec, theta, acts, U)
 
 
 def pairwise_distances(Y, X) -> np.ndarray:
@@ -154,10 +146,10 @@ class GanObjective:
     matrix must be square because both clouds carry unit weights per point.
 
     ``best_response``, ``loss`` and ``grad_x`` are the oracles of
-    :func:`as_minmin_problem`. They share one generator evaluation per θ:
-    the generated points Y and cost C of the last θ are kept, read-only, in
-    one ``(θ copy, Y, C)`` entry keyed on the bytes of θ, so ``cost(θ)`` has
-    the same bits whatever was evaluated before.
+    :func:`as_minmin_problem`. They share one generator forward pass per θ:
+    its activations and read-only cost C are kept in one entry keyed on the
+    bytes of θ, so ``cost(θ)`` has the same bits whatever was evaluated
+    before, and ``grad_x`` back-propagates through the kept activations.
 
     Each Sinkhorn solve starts from the column potential of the last solve
     that returned (gauge ``V[-1] = 0``), since consecutive calls of a step
@@ -192,24 +184,25 @@ class GanObjective:
             )
         if not (self.epsilon > 0 and np.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not (self.sinkhorn_tol > 0 and np.isfinite(self.sinkhorn_tol)):
+            raise ValueError(f"sinkhorn_tol must be positive and finite, got {self.sinkhorn_tol}")
         self._kept = None
         self._dual_col = None
 
     def _generated(self, theta):
-        """(Y, C) at theta, computed once per distinct θ (bitwise; 0.0 and -0.0 differ)."""
+        """(θ copy, activations, C) at θ, computed once per distinct θ (bitwise; 0.0 and -0.0 differ)."""
         theta = np.asarray(theta, dtype=float)
         kept = self._kept
-        if kept is not None and kept[0].shape == theta.shape and kept[0].tobytes() == theta.tobytes():
-            return kept[1], kept[2]
-        Y = mlp_forward(self.spec, theta, self.latents)
-        C = pairwise_distances(Y, self.data)
-        Y.flags.writeable = C.flags.writeable = False
-        self._kept = (theta.copy(), Y, C)
-        return Y, C
+        if kept is None or kept[0].shape != theta.shape or kept[0].tobytes() != theta.tobytes():
+            acts = _forward_full(self.spec, theta, self.latents)[0]
+            C = pairwise_distances(acts[-1], self.data)
+            acts[-1].flags.writeable = C.flags.writeable = False
+            self._kept = kept = (theta.copy(), acts, C)
+        return kept
 
     def cost(self, theta) -> np.ndarray:
         """The read-only cost matrix C(θ)[i, j] = |G(z_i; θ) - x_j|."""
-        return self._generated(theta)[1]
+        return self._generated(theta)[2]
 
     def best_response(self, theta) -> np.ndarray:
         """The flat optimal plan at θ from one Sinkhorn solve, started from the last one's."""
@@ -223,11 +216,10 @@ class GanObjective:
 
     def grad_x(self, theta, p) -> np.ndarray:
         """d/dθ of <P, C(θ)> at a fixed flat plan p (unit-vector chain rule)."""
-        n = self.data.shape[0]
-        Y, C = self._generated(theta)
-        W = p.reshape(n, n) / np.where(C < _DIST_FLOOR, np.inf, C)
-        upstream = Y * W.sum(axis=1)[:, None] - W @ self.data
-        return mlp_backward(self.spec, theta, self.latents, upstream)
+        theta, acts, C = self._generated(theta)
+        W = p.reshape(C.shape) / np.where(C < _DIST_FLOOR, np.inf, C)
+        upstream = acts[-1] * W.sum(axis=1)[:, None] - W @ self.data
+        return _backprop(self.spec, theta, acts, upstream)
 
 
 def as_minmin_problem(gan: GanObjective) -> MinMaxProblem:

@@ -253,7 +253,7 @@ _INNER_FIELDS = {"inner_steps": "steps", "inner_step_size": "step_size", "warm_s
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat ``key = value`` lines; ``#`` starts a comment line."""
+    """Parse flat ``key = value`` lines; ``#`` starts a comment line (there are no inline comments)."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -269,14 +269,17 @@ def parse_config_text(text: str) -> dict:
                 f"line {lineno}: unknown key {key!r}; valid keys: {', '.join(sorted(_CONFIG_KEYS))}"
             )
         kind = _CONFIG_KEYS[key]
-        if kind == "vector":
-            values[key] = np.array([float(v) for v in val.split(",")])
-        elif kind == "bool":
-            if val.lower() not in ("true", "false"):
-                raise ValueError(f"line {lineno}: {key} must be true or false, got {val!r}")
-            values[key] = val.lower() == "true"
-        else:
-            values[key] = kind(val)
+        try:
+            if kind == "vector":
+                values[key] = np.array([float(v) for v in val.split(",")])
+            elif kind == "bool":
+                if val.lower() not in ("true", "false"):
+                    raise ValueError(f"must be true or false, got {val!r}")
+                values[key] = val.lower() == "true"
+            else:
+                values[key] = kind(val)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from exc
     return values
 
 

@@ -334,27 +334,27 @@ def estimate_holder_constants(obj: SmoothObjective, region, samples: int = 512, 
     dx = _pair_distances(points)
     dg = _pair_distances(grads)
     keep = dx >= 1e-9
-    dx, dg = dx[keep], dg[keep]
-
-    nonzero = dg > 1e-15
-    if dx.size == 0 or not np.any(nonzero):
+    if not np.any(keep & (dg > 1e-15)):
         # gradient is constant on the region up to noise; any tiny beta certifies
         return HolderCertificate(beta=1e-12, nu=1.0, global_flag=False)
 
-    fit = nonzero & (dx >= dx.max() / _GAP_SPAN)
-    u = np.log(dx[fit])
-    v = np.log(dg[fit])
+    # some pair is kept, so the largest kept gap is the largest gap
+    fit = (dx >= max(1e-9, dx.max() / _GAP_SPAN)) & (dg > 1e-15)
+    u, v = dx[fit], dg[fit]
+    np.log(u, out=u)
+    np.log(v, out=v)
     env_u, env_v = [], []
     if u.size:
         edges = np.linspace(u.min(), u.max() + 1e-12, _ENVELOPE_BINS + 1)
-        which = np.digitize(u, edges) - 1
-        for b in range(_ENVELOPE_BINS):
+        which = np.digitize(u, edges)
+        for b in range(1, _ENVELOPE_BINS + 1):
             members = np.flatnonzero(which == b)
             if members.size == 0:
                 continue
             top = members[np.argmax(v[members])]
             env_u.append(u[top])
             env_v.append(v[top])
+    del u, v  # the ratio below takes two more pair-sized arrays
     env_u = np.asarray(env_u)
     env_v = np.asarray(env_v)
 
@@ -363,6 +363,8 @@ def estimate_holder_constants(obj: SmoothObjective, region, samples: int = 512, 
     else:
         slope = 1.0
     nu = float(np.clip(slope, 0.01, 1.0))
-    pos = dg > 0
-    beta = float(np.max(dg[pos] / dx[pos] ** nu))
+    pos = keep & (dg > 0)
+    ratio = dx[pos]
+    ratio **= nu
+    beta = float(np.max(np.divide(dg[pos], ratio, out=ratio)))
     return HolderCertificate(beta=beta, nu=nu, global_flag=False)

@@ -106,9 +106,8 @@ def entropic_objective(plan, cost, epsilon: float) -> float:
     """<P, C> + eps * sum P log P with the 0 log 0 = 0 convention."""
     P = np.asarray(plan, dtype=float)
     C = np.asarray(cost, dtype=float)
-    pos = P > 0
-    ent = np.where(pos, P * np.log(np.where(pos, P, 1.0)), 0.0)
-    return float(np.sum(P * C) + epsilon * np.sum(ent))
+    log_p = np.log(P, out=np.zeros_like(P), where=P > 0)
+    return float(np.sum(P * C) + epsilon * np.sum(P * log_p))
 
 
 def _kernel(U, V, C, epsilon, work) -> np.ndarray:

@@ -42,16 +42,16 @@ def test_spec_validation():
 
 def test_forward_affine_single_layer():
     spec = MlpSpec((1, 1))
-    out = mlp_forward(spec, np.array([2.0, 1.0]), np.array([3.0]))
-    np.testing.assert_array_equal(out, [7.0])
+    out = mlp_forward(spec, np.array([2.0, 1.0]), np.array([[3.0]]))
+    np.testing.assert_array_equal(out, [[7.0]])
 
 
 def test_forward_relu_hinge():
     # hidden: pre = z - 1, relu; output: identity passthrough
     spec = MlpSpec((1, 1, 1))
     theta = np.array([1.0, -1.0, 1.0, 0.0])
-    np.testing.assert_array_equal(mlp_forward(spec, theta, np.array([0.5])), [0.0])
-    np.testing.assert_array_equal(mlp_forward(spec, theta, np.array([2.0])), [1.0])
+    np.testing.assert_array_equal(mlp_forward(spec, theta, np.array([[0.5]])), [[0.0]])
+    np.testing.assert_array_equal(mlp_forward(spec, theta, np.array([[2.0]])), [[1.0]])
 
 
 def test_forward_batch_matches_singles():
@@ -64,16 +64,19 @@ def test_forward_batch_matches_singles():
     # batched and single-row matmuls may take different BLAS paths, so only
     # agreement to a few ulps is guaranteed
     for i in range(6):
-        np.testing.assert_allclose(batch[i], mlp_forward(spec, theta, Z[i]), rtol=1e-13)
+        np.testing.assert_allclose(batch[i : i + 1], mlp_forward(spec, theta, Z[i : i + 1]), rtol=1e-13)
 
 
 def test_forward_input_validation():
     spec = MlpSpec((2, 1))
     theta = np.zeros(param_count(spec))
     with pytest.raises(ValueError, match="input width"):
-        mlp_forward(spec, theta, np.zeros(3))
+        mlp_forward(spec, theta, np.zeros((1, 3)))
+    # a single input vector is not a batch
+    with pytest.raises(ValueError, match="input width"):
+        mlp_forward(spec, theta, np.zeros(2))
     with pytest.raises(ValueError, match="parameters"):
-        mlp_forward(spec, np.zeros(5), np.zeros(2))
+        mlp_forward(spec, np.zeros(5), np.zeros((1, 2)))
 
 
 def test_backward_matches_finite_differences():
@@ -104,7 +107,7 @@ def test_backward_zero_derivative_at_kink():
     # pre-activation sits exactly at zero; only the output bias sees gradient
     spec = MlpSpec((1, 1, 1))
     theta = np.array([1.0, 0.0, 1.0, 0.0])
-    grad = mlp_backward(spec, theta, np.array([0.0]), np.array([1.0]))
+    grad = mlp_backward(spec, theta, np.array([[0.0]]), np.array([[1.0]]))
     np.testing.assert_array_equal(grad, [0.0, 0.0, 0.0, 1.0])
 
 
@@ -177,6 +180,9 @@ def test_gan_objective_validation():
         GanObjective(spec, good, np.zeros((5, 2)), epsilon=0.1)
     with pytest.raises(ValueError, match="epsilon"):
         GanObjective(spec, good, good, epsilon=-1.0)
+    for tol in (0.0, -1e-9, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sinkhorn_tol"):
+            GanObjective(spec, good, good, epsilon=0.1, sinkhorn_tol=tol)
 
 
 def test_envelope_gradient_matches_finite_differences():
@@ -223,11 +229,13 @@ def test_minmin_problem_wiring():
 
 
 def test_one_oracle_call_evaluates_the_generator_once(monkeypatch):
+    """One forward pass and one distance matrix per oracle call; the gradient
+    back-propagates through the kept pass, so the public passes never run."""
     import holderopt.gan
 
     gan = make_small_gan()
     theta = init_params(gan.spec, seed=3)
-    calls = {"mlp_forward": 0, "pairwise_distances": 0, "mlp_backward": 0}
+    calls = {"_forward_full": 0, "pairwise_distances": 0, "mlp_forward": 0, "mlp_backward": 0}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -239,7 +247,25 @@ def test_one_oracle_call_evaluates_the_generator_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(holderopt.gan, name, counting(name, getattr(holderopt.gan, name)))
     ValueFunctionView(as_minmin_problem(gan)).eval(theta)
-    assert calls == {"mlp_forward": 1, "pairwise_distances": 1, "mlp_backward": 1}
+    assert calls == {"_forward_full": 1, "pairwise_distances": 1, "mlp_forward": 0, "mlp_backward": 0}
+
+
+def test_kept_pass_gradient_equals_the_public_backward():
+    """After evaluations at θ1 and θ2, grad_x at θ1, and then at θ2, is bit for bit
+    ``mlp_backward`` on a fresh forward pass, with the upstream the plan gives."""
+    from holderopt.gan import _DIST_FLOOR
+
+    gan = make_small_gan()
+    n = gan.data.shape[0]
+    thetas = [init_params(gan.spec, seed=3), init_params(gan.spec, seed=4)]
+    plans = [gan.best_response(theta) for theta in thetas]
+    for theta, p in zip(thetas, plans):
+        Y = mlp_forward(gan.spec, theta, gan.latents)
+        D = pairwise_distances(Y, gan.data)
+        W = p.reshape(n, n) / np.where(D < _DIST_FLOOR, np.inf, D)
+        upstream = Y * W.sum(axis=1)[:, None] - W @ gan.data
+        expected = mlp_backward(gan.spec, theta, gan.latents, upstream)
+        assert gan.grad_x(theta, p).tobytes() == expected.tobytes()
 
 
 def evaluate_along(gan, thetas):

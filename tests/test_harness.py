@@ -129,8 +129,15 @@ def test_parse_config_errors_name_the_line():
         parse_config_text("stepsize = 0.1")
     with pytest.raises(ValueError, match="line 2.*key = value"):
         parse_config_text("gamma = 1\njust some words")
-    with pytest.raises(ValueError, match="true or false"):
+    with pytest.raises(ValueError, match="line 1: warm_start: must be true or false"):
         parse_config_text("warm_start = maybe")
+    # a value that fails to convert names its line and key too
+    with pytest.raises(ValueError, match="line 1: seed: invalid literal for int"):
+        parse_config_text("seed = abc")
+    with pytest.raises(ValueError, match="line 3: x0: could not convert string to float: ''"):
+        parse_config_text("# start\ngamma = 1\nx0 = 1.0,,2.0")
+    with pytest.raises(ValueError, match="line 1: gamma: could not convert string to float: '0.1 # step'"):
+        parse_config_text("gamma = 0.1 # step")
 
 
 def test_config_from_values_threads_fields():

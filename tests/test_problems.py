@@ -221,6 +221,23 @@ def test_estimate_constants_on_sqrt_value_function():
         assert 0.45 <= cert.nu <= 0.55
 
 
+def test_estimate_constants_peak_memory_in_pair_arrays():
+    """The fit works on masks over the two pair-distance arrays, not on copies of
+    them: the traced peak stays under 6.5 arrays of one float per pair."""
+    import tracemalloc
+
+    samples = 2048
+    pair_array = 8 * samples * (samples - 1) // 2
+    view = ValueFunctionView(make_sqrt_problem())
+    tracemalloc.start()
+    try:
+        estimate_holder_constants(view, [(0.0, 1.0)], samples=samples, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * pair_array
+
+
 def test_estimate_constants_certifies_pairs_exactly_for_quadratic():
     """For f(x) = x^2/2 every pair has ratio exactly 1, so beta = 1 certifies all of them."""
     obj = SmoothObjective(1, lambda x: (0.5 * x[0] ** 2, np.array([x[0]])))
