@@ -53,7 +53,7 @@ print(f"\nreduction to plain descent is bit-identical: {same}")
 #    driver runs a few ascent steps from the previous response (warm start)
 #    and restarts its step search from scratch each iteration.
 
-budget = InnerAscentBudget(steps=25, step_size=0.5, warm_start=True)
+budget = InnerAscentBudget(steps=25, step_size=0.5)
 htraj = minmax_heuristic(saddle, x0, budget=budget, stop=StopRule(grad_tol=1e-6))
 print(f"\nheuristic driver with {budget.steps} inner ascent steps:")
 print(f"  {len(htraj)} records, status {htraj.terminal_status}, "

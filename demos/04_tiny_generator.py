@@ -15,7 +15,6 @@ from holderopt import (
     MlpSpec,
     ValueFunctionView,
     as_minmin_problem,
-    default_mixture,
     init_params,
     mlp_backward,
     mlp_forward,
@@ -63,7 +62,7 @@ print(f"grad[{i}] = {grad[i]:.8f}, finite difference {fd:.8f}")
 # entropic transport divergence. Its gradient needs only the transport plan
 # (the inner solution), never derivatives of the plan itself.
 
-data = sample_data(default_mixture(), 32, seed=0)
+data = sample_data(32, seed=0)
 latents = sample_latents(32, seed=0)
 gan = GanObjective(spec, latents, data, epsilon=0.3, sinkhorn_tol=1e-7)
 value, g = ValueFunctionView(as_minmin_problem(gan)).eval(theta)

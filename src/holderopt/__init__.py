@@ -18,10 +18,8 @@ from .descent import (
     StopRule,
     Trajectory,
     TrajectoryRecord,
-    armijo_gd,
     backtrack_holder_gd,
     backtrack_step,
-    constant_gd,
     holder_gd,
     holder_step,
     k_bound,
@@ -40,10 +38,8 @@ from .gan import (
 )
 from .harness import (
     ExperimentConfig,
-    GaussianMixtureSpec,
     build_problem,
     compare_and_plot,
-    default_mixture,
     load_config,
     run_experiment,
     sample_data,

@@ -78,7 +78,9 @@ def main(argv=None) -> int:
                 print(_summary(run_id, traj))
             print(f"wrote {svg_path}")
     except (ValueError, KeyError, OSError, NumericError, SinkhornError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
     return 0
 

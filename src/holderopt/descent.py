@@ -1,12 +1,11 @@
 """First-order descent drivers for objectives with Holder-continuous gradients.
 
-Two families live here:
-
-* known-constants steps (:func:`holder_step`, :func:`holder_gd`) that need a
-  :class:`~holderopt.problems.HolderCertificate`, and
-* backtracking drivers (:func:`backtrack_holder_gd`, :func:`armijo_gd`) that
-  adapt a trial exponent ``k`` online, never resetting it, so the per-iteration
-  search cost stays bounded by :func:`k_bound`.
+Two drivers live here: the known-constants step (:func:`holder_step`,
+:func:`holder_gd`), which needs a :class:`~holderopt.problems.HolderCertificate`
+and at ``nu = 1`` is the fixed step ``gamma``, and backtracking
+(:func:`backtrack_holder_gd`), which adapts a trial exponent ``k`` online,
+never resetting it, so the per-iteration search cost stays bounded by
+:func:`k_bound`.
 
 Every driver here and in :mod:`holderopt.minimax` is a thin wrapper over one
 loop, ``_descend``: a step rule ``step_fn(k, |grad|)`` and an acceptance test,
@@ -269,7 +268,9 @@ def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, fro
       trial. ``k`` starts at 0, or at 1 with ``nonmonotone``. Each rejection
       raises ``k``, which carries over between iterations; ``nonmonotone``
       first lowers ``k`` by one when the inherited step clears
-      ``params.delta_plus``;
+      ``params.delta_plus``. That probe at ``k - 1`` is one call; when it
+      fails the ``delta`` test, ``k`` rises back and the inherited step is
+      evaluated again, a third call at the point of the first;
     * with ``frozen``, the same test on ``evaluate.frozen_loss(trial)``, which
       is no oracle call. ``k`` restarts at 0 each iteration, and the accepted
       point is evaluated afresh.
@@ -358,13 +359,6 @@ def holder_gd(
     return Trajectory(*_descend(obj.eval, x0, stop, lambda k, gn: holder_step(gn, cert, gamma)))
 
 
-def constant_gd(obj: SmoothObjective, x0, gamma: float, stop: Optional[StopRule] = None) -> Trajectory:
-    """Fixed-step gradient descent baseline. No monotonicity guarantee."""
-    if not (gamma > 0 and np.isfinite(gamma)):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    return Trajectory(*_descend(obj.eval, x0, stop, lambda k, gn: gamma))
-
-
 def backtrack_holder_gd(
     obj: SmoothObjective, x0, params: Optional[BacktrackParams] = None, stop: Optional[StopRule] = None
 ) -> Trajectory:
@@ -377,14 +371,3 @@ def backtrack_holder_gd(
     params = params or BacktrackParams()
     return Trajectory(*_descend(obj.eval, x0, stop, lambda k, gn: backtrack_step(k, gn, params), params))
 
-
-def armijo_gd(
-    obj: SmoothObjective, x0, params: Optional[BacktrackParams] = None, stop: Optional[StopRule] = None
-) -> Trajectory:
-    """Monotone backtracking with the plain geometric step gamma * alpha**k.
-
-    Identical skeleton to :func:`backtrack_holder_gd`; only the step formula
-    differs (no gradient-norm factor).
-    """
-    params = params or BacktrackParams()
-    return Trajectory(*_descend(obj.eval, x0, stop, lambda k, gn: params.gamma * params.alpha**k, params))

@@ -1,14 +1,16 @@
 """Experiment configuration, sampling, drivers dispatch, and figure output.
 
 A single :class:`ExperimentConfig` pins everything a run needs; the seed fully
-determines data, latents, and network init through the fixed Philox streams in
-:mod:`holderopt.rng`, so identical configs give byte-identical CSV and SVG
-outputs. Trajectories are always plotted against ``oracle_calls`` because the
-backtracking drivers spend an uneven number of inner solves per iteration.
+determines data (the paper's 8-mode Gaussian ring), latents, and network init
+through the fixed Philox streams in :mod:`holderopt.rng`, so identical configs
+give byte-identical CSV and SVG outputs. Trajectories are always plotted
+against ``oracle_calls`` because the backtracking drivers spend an uneven
+number of inner solves per iteration.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -45,52 +47,23 @@ GENERATOR_WIDTHS = (2, 64, 32, 16, 2)
 GAN_ORACLE_BUDGET = 300
 
 
-@dataclass
-class GaussianMixtureSpec:
-    """Finite Gaussian mixture in the plane (or any fixed dimension)."""
-
-    means: np.ndarray  # (k, d)
-    covs: np.ndarray  # (k, d, d)
-    weights: np.ndarray  # (k,), positive, summing to 1
-
-    def __post_init__(self):
-        self.means = np.asarray(self.means, dtype=float)
-        self.covs = np.asarray(self.covs, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        k, d = self.means.shape
-        if self.covs.shape != (k, d, d):
-            raise ValueError(f"covs must have shape ({k}, {d}, {d}), got {self.covs.shape}")
-        if self.weights.shape != (k,) or np.any(self.weights <= 0):
-            raise ValueError("weights must be positive with one entry per component")
-        if abs(self.weights.sum() - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {self.weights.sum()}")
-        # fails loudly on a non-SPD covariance
-        self._chols = np.linalg.cholesky(self.covs)
+# the paper's data: 8 equal-weight Gaussians of variance 0.02, evenly spaced on the circle of radius 2
+_MODES = 8
+_RADIUS = 2.0
+_VARIANCE = 0.02
 
 
-def default_mixture(components: int = 8, radius: float = 2.0, variance: float = 0.02) -> GaussianMixtureSpec:
-    """Equal-weight isotropic Gaussians with means equally spaced on a circle."""
-    angles = 2.0 * np.pi * np.arange(components) / components
-    means = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    covs = np.tile(variance * np.eye(2), (components, 1, 1))
-    weights = np.full(components, 1.0 / components)
-    return GaussianMixtureSpec(means, covs, weights)
+def sample_data(n: int, seed: int) -> np.ndarray:
+    """Draw n points of the paper's 8-mode Gaussian ring from the data stream.
 
-
-def sample_data(mixture: GaussianMixtureSpec, n: int, seed: int) -> np.ndarray:
-    """Draw n mixture samples from the data stream.
-
-    Draw order (fixed for reproducibility): n component uniforms first, then
-    2n normals consumed pairwise per sample.
+    Draw order (fixed for reproducibility): n mode uniforms first, then 2n
+    normals consumed pairwise per sample.
     """
     stream = RandomStream(seed, STREAM_DATA)
-    cum = np.cumsum(mixture.weights)
-    cum[-1] = 1.0
-    u = stream.uniform(n)
-    comp = np.searchsorted(cum, u, side="left")
-    d = mixture.means.shape[1]
-    z = stream.normal(n * d).reshape(n, d)
-    return mixture.means[comp] + np.einsum("nij,nj->ni", mixture._chols[comp], z)
+    angles = 2.0 * np.pi * np.arange(_MODES) / _MODES
+    means = _RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    mode = np.searchsorted(np.arange(1, _MODES + 1) / _MODES, stream.uniform(n), side="left")
+    return means[mode] + np.sqrt(_VARIANCE) * stream.normal(2 * n).reshape(n, 2)
 
 
 def sample_latents(n: int, seed: int, dim: int = 2) -> np.ndarray:
@@ -132,8 +105,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choices: {', '.join(ALGORITHMS)}")
         if self.algorithm == "constant" and self.gamma is None:
             raise ValueError("constant needs gamma")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        # a float would build the data of its truncation under a run id that names the float
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= int(seed) < 2**64:
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if self.sample_size < 1:
             raise ValueError(f"sample_size must be >= 1, got {self.sample_size}")
         if self.epsilon is not None and not self.epsilon > 0:
@@ -153,7 +128,7 @@ def build_problem(config: ExperimentConfig):
     """Instantiate the configured problem. Returns (problem, x0)."""
     if config.problem == "sinkhorn_gan":
         spec = MlpSpec(GENERATOR_WIDTHS)
-        data = sample_data(default_mixture(), config.sample_size, config.seed)
+        data = sample_data(config.sample_size, config.seed)
         latents = sample_latents(config.sample_size, config.seed, dim=spec.widths[0])
         theta0 = init_params(spec, config.seed)
         eps = config.epsilon
@@ -246,10 +221,9 @@ _CONFIG_KEYS = {
     "x0": "vector",
     "inner_steps": int,
     "inner_step_size": float,
-    "warm_start": "bool",
 }
 # config key -> InnerAscentBudget field
-_INNER_FIELDS = {"inner_steps": "steps", "inner_step_size": "step_size", "warm_start": "warm_start"}
+_INNER_FIELDS = {"inner_steps": "steps", "inner_step_size": "step_size"}
 
 
 def parse_config_text(text: str) -> dict:
@@ -272,10 +246,6 @@ def parse_config_text(text: str) -> dict:
         try:
             if kind == "vector":
                 values[key] = np.array([float(v) for v in val.split(",")])
-            elif kind == "bool":
-                if val.lower() not in ("true", "false"):
-                    raise ValueError(f"must be true or false, got {val!r}")
-                values[key] = val.lower() == "true"
             else:
                 values[key] = kind(val)
         except ValueError as exc:

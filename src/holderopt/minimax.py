@@ -9,10 +9,11 @@ and returns a :class:`holderopt.descent.Trajectory` whose CSV carries
 :meth:`holderopt.problems.MinMaxProblem.value_and_grad`, which
 :class:`holderopt.problems.ValueFunctionView` also uses, so
 :func:`minmax_backtrack` and :func:`holderopt.descent.backtrack_holder_gd` on
-the view run the same code on the same numbers. Without an exact oracle,
-:func:`minmax_heuristic` and :func:`minmax_constant` evaluate through one
-approximate oracle that keeps its last response: the warm start of the next
-inner solve, and the frozen response of the heuristic's acceptance test.
+the view run the same code on the same numbers. A non-monotone probe of
+``k - 1`` costs one extra call, or two when it fails. Without an exact
+oracle, :func:`minmax_heuristic` and :func:`minmax_constant` evaluate through
+one approximate oracle that keeps its last response: the warm start of every
+later inner solve, and the frozen response of the heuristic's test.
 The loop's budget rule is the same for all: stop when the next step needs an
 oracle call and none is left. The heuristic's search needs none, so on an
 exhausted budget it takes one more step and closes on a record evaluated
@@ -39,7 +40,6 @@ class InnerAscentBudget:
 
     steps: int = 50
     step_size: float = 0.5
-    warm_start: bool = True
 
     def __post_init__(self):
         if self.steps < 1:
@@ -55,7 +55,7 @@ class _ApproxOracle:
     """The approximate inner oracle, keeping its last response y.
 
     A call at x is one oracle call: one inner solve, warm started from the
-    kept response when ``budget.warm_start`` says so, giving
+    kept response (cold, from ``y = None``, on the first call), giving
     (L(x, y), grad_x L(x, y)). ``frozen_loss`` and ``frozen`` evaluate at the
     kept response and are not oracle calls.
     """
@@ -64,7 +64,7 @@ class _ApproxOracle:
         self.problem, self.budget, self.y = problem, budget, None
 
     def __call__(self, x):
-        self.y = self.problem.approx_response(x, self.y if self.budget.warm_start else None, self.budget)
+        self.y = self.problem.approx_response(x, self.y, self.budget)
         return self.frozen(x)
 
     def frozen_loss(self, x):
@@ -143,11 +143,10 @@ def minmax_heuristic(
     """Backtracking with an approximate inner argmax and a frozen-response test.
 
     Per outer iteration: one approximate inner solve (one oracle call, warm
-    started from the previous response when the budget says so), then a
-    backtracking search whose acceptance test evaluates L at the trial point
-    with the response frozen; those loss evaluations are not oracle calls. The
-    trial exponent resets to 0 every iteration and the first trial step is
-    exactly gamma.
+    started from the previous response), then a backtracking search whose
+    acceptance test evaluates L at the trial point with the response frozen;
+    those loss evaluations are not oracle calls. The trial exponent resets to
+    0 every iteration and the first trial step is exactly gamma.
     """
     if problem.sense != "min-max":
         raise ValueError(f"minmax_heuristic expects a min-max problem, got {problem.sense}")

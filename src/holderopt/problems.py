@@ -115,7 +115,6 @@ class ValueFunctionView(SmoothObjective):
             raise ValueError("value function view needs an exact best_response")
         name = f"value({problem.name})" if problem.name else "value"
         super().__init__(problem.dim_x, problem.value_and_grad, name=name)
-        self.problem = problem
         self.certificate = problem.certificate
 
 

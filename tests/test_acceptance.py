@@ -21,7 +21,6 @@ from holderopt import (
     as_minmin_problem,
     backtrack_holder_gd,
     backtrack_step,
-    default_mixture,
     holder_gd,
     init_params,
     k_bound,
@@ -267,7 +266,7 @@ def test_08_backtracking_beats_constant_steps_on_the_generator():
     """
     t0 = time.perf_counter()
     spec = MlpSpec((2, 64, 32, 16, 2))
-    data = sample_data(default_mixture(), 64, seed=0)
+    data = sample_data(64, seed=0)
     latents = sample_latents(64, seed=0)
     theta0 = init_params(spec, seed=0)
     gan = GanObjective(spec, latents, data, epsilon=0.2, sinkhorn_tol=1e-7)

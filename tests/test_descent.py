@@ -14,14 +14,14 @@ from holderopt import (
     StopRule,
     Trajectory,
     ValueFunctionView,
-    armijo_gd,
     backtrack_holder_gd,
     backtrack_step,
-    constant_gd,
     holder_gd,
     holder_step,
     k_bound,
+    make_quadratic_minmin,
     make_sqrt_problem,
+    minmin_armijo_nonmonotone,
     optimal_holder_gamma,
     sufficient_decrease_threshold,
 )
@@ -191,10 +191,11 @@ def test_holder_gd_rejects_bad_gamma_before_any_oracle_call():
     assert len(calls) == 0
 
 
+# here and below, holder_gd at nu = 1 is the fixed step gamma, for any gamma < 2 / beta
 @pytest.mark.filterwarnings("ignore:overflow")
-def test_constant_gd_divergence_raises():
+def test_fixed_step_divergence_raises():
     with pytest.raises(NumericError) as info:
-        constant_gd(quadratic(), [1.0], gamma=2.5)
+        holder_gd(quadratic(), [1.0], HolderCertificate(0.1, 1.0), gamma=2.5)
     assert info.value.iteration > 0
 
 
@@ -213,7 +214,7 @@ def nan_at(call):
 @pytest.mark.parametrize("call, iteration", [(1, 0), (2, 0), (4, 2)])
 def test_numeric_error_names_the_iteration_of_a_fixed_step(call, iteration):
     with pytest.raises(NumericError) as info:
-        constant_gd(nan_at(call), [1.0], gamma=0.5)
+        holder_gd(nan_at(call), [1.0], HolderCertificate(1.0, 1.0), gamma=0.5)
     assert info.value.iteration == iteration
 
 
@@ -243,7 +244,7 @@ def overflow_at(call):
 @pytest.mark.parametrize("call, iteration", [(1, 0), (2, 0)])
 def test_gradient_norm_overflow_in_a_fixed_step_is_a_numeric_error(call, iteration):
     with pytest.raises(NumericError) as info:
-        constant_gd(overflow_at(call), [1.0, 0.0], gamma=0.5)
+        holder_gd(overflow_at(call), [1.0, 0.0], HolderCertificate(1.0, 1.0), gamma=0.5)
     assert info.value.iteration == iteration
 
 
@@ -254,14 +255,14 @@ def test_gradient_norm_overflow_in_a_backtracking_trial_is_a_numeric_error(call,
     assert info.value.iteration == iteration
 
 
-def test_constant_gd_converges_with_small_step():
-    traj = constant_gd(quadratic(), [1.0], gamma=0.5, stop=StopRule(grad_tol=1e-10))
+def test_fixed_step_converges_with_small_step():
+    traj = holder_gd(quadratic(), [1.0], HolderCertificate(1.0, 1.0), gamma=0.5, stop=StopRule(grad_tol=1e-10))
     assert traj.terminal_status == CONVERGED
     assert traj.f_values[-1] <= 1e-19
 
 
 def test_iter_budget_status():
-    traj = constant_gd(quadratic(), [1.0], gamma=0.05, stop=StopRule(max_iters=10))
+    traj = holder_gd(quadratic(), [1.0], HolderCertificate(1.0, 1.0), gamma=0.05, stop=StopRule(max_iters=10))
     assert traj.terminal_status == ITER_BUDGET
     assert len(traj) == 11
     assert traj.records[-1].step == 0.0
@@ -287,14 +288,13 @@ def test_k_never_decreases_in_monotone_drivers():
     view = ValueFunctionView(make_sqrt_problem())
     for _ in range(5):
         x0 = [float(rng.uniform(0.5, 8.0))]
-        for drive in (backtrack_holder_gd, armijo_gd):
-            traj = drive(view, x0, params=BacktrackParams(gamma=2.0))
-            assert np.all(np.diff(traj.ks) >= 0)
-            # cumulative calls grow with every accepted step; the terminal
-            # record repeats the final count
-            diffs = np.diff(traj.oracle_calls)
-            assert np.all(diffs[:-1] > 0)
-            assert diffs[-1] >= 0
+        traj = backtrack_holder_gd(view, x0, params=BacktrackParams(gamma=2.0))
+        assert np.all(np.diff(traj.ks) >= 0)
+        # cumulative calls grow with every accepted step; the terminal
+        # record repeats the final count
+        diffs = np.diff(traj.oracle_calls)
+        assert np.all(diffs[:-1] > 0)
+        assert diffs[-1] >= 0
 
 
 def test_accepted_steps_satisfy_recorded_decrease():
@@ -317,10 +317,12 @@ def test_monotone_driver_values_never_increase():
 
 
 def test_armijo_step_has_no_gradient_factor():
-    """With a tiny gradient the Armijo trial step is still gamma at k = 0."""
-    obj = quadratic()
-    traj = armijo_gd(obj, [1e-6], stop=StopRule(grad_tol=1e-12, max_iters=3))
-    assert traj.records[0].step == 1.0
+    """With a tiny gradient the Armijo step is still gamma * alpha at its starting k = 1."""
+    params = BacktrackParams()
+    stop = StopRule(grad_tol=1e-12, max_iters=3)
+    traj = minmin_armijo_nonmonotone(make_quadratic_minmin(1), [1e-6], params, stop)
+    assert traj.records[0].grad_norm < 1e-6
+    assert traj.records[0].step == params.gamma * params.alpha
 
 
 def test_known_rate_bound_on_sqrt():

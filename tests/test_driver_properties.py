@@ -18,7 +18,6 @@ from holderopt import (
     MinMaxProblem,
     StopRule,
     ValueFunctionView,
-    armijo_gd,
     backtrack_holder_gd,
     get_problem,
     minmax_backtrack,
@@ -43,7 +42,6 @@ DRIVERS = {
     "minmin_backtrack_nonmonotone": (minmin_backtrack_nonmonotone, ("quadratic_minmin",), False),
     "minmin_armijo_nonmonotone": (minmin_armijo_nonmonotone, ("quadratic_minmin",), False),
     "backtrack_holder_gd": (on_view(backtrack_holder_gd), ("sqrt", "quadratic_saddle", "quadratic_minmin"), True),
-    "armijo_gd": (on_view(armijo_gd), ("sqrt", "quadratic_saddle", "quadratic_minmin"), True),
 }
 
 
@@ -161,9 +159,7 @@ def inner_runs(draw, name):
         rho=draw(st.floats(0.05, 3.0)),
         k_max=draw(st.integers(1, 10)),
     )
-    budget = InnerAscentBudget(
-        steps=draw(st.integers(1, 5)), step_size=draw(st.floats(0.05, 0.95)), warm_start=draw(st.booleans())
-    )
+    budget = InnerAscentBudget(steps=draw(st.integers(1, 5)), step_size=draw(st.floats(0.05, 0.95)))
     stop = StopRule(
         grad_tol=draw(st.sampled_from([0.0, 1e-8])),
         max_iters=draw(st.integers(1, 100)),

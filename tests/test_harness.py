@@ -1,6 +1,7 @@
 """Experiment configs, seeded sampling, driver dispatch, file outputs, CLI."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from holderopt import (
     StopRule,
     build_problem,
     compare_and_plot,
-    default_mixture,
     init_params,
     load_config,
     param_count,
@@ -23,7 +23,6 @@ from holderopt import (
 from holderopt.cli import main
 from holderopt.harness import (
     GENERATOR_WIDTHS,
-    GaussianMixtureSpec,
     config_from_values,
     parse_config_text,
 )
@@ -31,38 +30,27 @@ from holderopt.harness import (
 # ----------------------------------------------------------------- sampling
 
 
-def test_default_mixture_geometry():
-    mix = default_mixture()
-    assert mix.means.shape == (8, 2)
-    np.testing.assert_allclose(np.linalg.norm(mix.means, axis=1), 2.0)
-    np.testing.assert_allclose(mix.covs, np.tile(0.02 * np.eye(2), (8, 1, 1)))
-    np.testing.assert_allclose(mix.weights, np.full(8, 0.125))
-
-
-def test_mixture_validation():
-    means = np.zeros((2, 2))
-    covs = np.tile(np.eye(2), (2, 1, 1))
-    with pytest.raises(ValueError, match="covs"):
-        GaussianMixtureSpec(means, np.eye(2), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="sum to 1"):
-        GaussianMixtureSpec(means, covs, np.array([0.5, 0.6]))
-    with pytest.raises(ValueError, match="positive"):
-        GaussianMixtureSpec(means, covs, np.array([1.5, -0.5]))
-    with pytest.raises(np.linalg.LinAlgError):
-        GaussianMixtureSpec(means, -covs, np.array([0.5, 0.5]))
-
-
 def test_sample_data_seeded_and_on_the_circle():
-    mix = default_mixture()
-    a = sample_data(mix, 256, seed=1)
-    assert a.shape == (256, 2)
-    np.testing.assert_array_equal(a, sample_data(mix, 256, seed=1))
-    assert np.any(a != sample_data(mix, 256, seed=2))
+    """8 modes equally spaced on the circle of radius 2, each with variance 0.02."""
+    a = sample_data(4096, seed=1)
+    assert a.shape == (4096, 2)
+    np.testing.assert_array_equal(a, sample_data(4096, seed=1))
+    assert np.any(a != sample_data(4096, seed=2))
     radii = np.linalg.norm(a, axis=1)
     assert abs(radii.mean() - 2.0) < 0.1
-    # every component gets hit at this sample size
-    nearest = np.argmin(np.linalg.norm(a[:, None, :] - mix.means[None], axis=2), axis=1)
+    angles = 2.0 * np.pi * np.arange(8) / 8
+    modes = 2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    nearest = np.argmin(np.linalg.norm(a[:, None, :] - modes[None], axis=2), axis=1)
+    # every mode gets hit at this sample size, with the spread of variance 0.02
     assert set(nearest) == set(range(8))
+    for j in range(8):
+        spread = a[nearest == j] - modes[j]
+        np.testing.assert_allclose(spread.var(axis=0), 0.02, rtol=0.25)
+
+
+def test_sample_data_bytes_are_pinned():
+    digest = hashlib.sha256(sample_data(64, seed=0).tobytes()).hexdigest()
+    assert digest == "1033fe4d388766735c37b095d45dcccf6782c66e575775b2099c60999f5fc0b9"
 
 
 def test_sample_latents_unit_cube():
@@ -71,7 +59,7 @@ def test_sample_latents_unit_cube():
     assert np.all((z >= 0) & (z < 1))
     np.testing.assert_array_equal(z, sample_latents(100, seed=3))
     # latent and data streams are separate even under one seed
-    assert np.any(z[:, 0] != sample_data(default_mixture(), 100, seed=3)[:, 0])
+    assert np.any(z[:, 0] != sample_data(100, seed=3)[:, 0])
 
 
 # ------------------------------------------------------------------ configs
@@ -105,6 +93,17 @@ def test_config_validation():
         ExperimentConfig(sample_size=0)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, np.float64(3.0), np.bool_(False)])
+def test_seed_must_be_an_integer(seed):
+    with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+        ExperimentConfig(problem="sinkhorn_gan", seed=seed)
+
+
+def test_numpy_integer_seed_is_accepted():
+    cfg = ExperimentConfig(problem="sinkhorn_gan", seed=np.uint64(3))
+    assert cfg.run_id() == "sinkhorn_gan_backtrack_holder_seed3"
+
+
 def test_parse_config_text():
     text = """
     # a comment line
@@ -112,14 +111,14 @@ def test_parse_config_text():
     algorithm = nonmonotone_holder
 
     gamma = 0.5
-    warm_start = false
+    inner_step_size = 0.25
     x0 = 1.0, -2.0, 0.25
     max_iters = 50
     """
     values = parse_config_text(text)
     assert values["problem"] == "quadratic_minmin:3"
     assert values["gamma"] == 0.5
-    assert values["warm_start"] is False
+    assert values["inner_step_size"] == 0.25
     np.testing.assert_array_equal(values["x0"], [1.0, -2.0, 0.25])
     assert values["max_iters"] == 50
 
@@ -129,8 +128,9 @@ def test_parse_config_errors_name_the_line():
         parse_config_text("stepsize = 0.1")
     with pytest.raises(ValueError, match="line 2.*key = value"):
         parse_config_text("gamma = 1\njust some words")
-    with pytest.raises(ValueError, match="line 1: warm_start: must be true or false"):
-        parse_config_text("warm_start = maybe")
+    # every inner solve starts warm; the key that switched that off is gone
+    with pytest.raises(ValueError, match="line 2: unknown key 'warm_start'; valid keys"):
+        parse_config_text("inner_steps = 5\nwarm_start = false")
     # a value that fails to convert names its line and key too
     with pytest.raises(ValueError, match="line 1: seed: invalid literal for int"):
         parse_config_text("seed = abc")
@@ -214,7 +214,7 @@ def test_build_gan_problem_dims_and_default_epsilon():
     np.testing.assert_array_equal(theta0, init_params(spec, seed=0))
 
     # the unset epsilon resolves to 1% of the mean initial transport cost
-    data = sample_data(default_mixture(), 16, seed=0)
+    data = sample_data(16, seed=0)
     latents = sample_latents(16, seed=0)
     eps = 0.01 * float(GanObjective(spec, latents, data, epsilon=1.0).cost(theta0).mean())
     pinned, _ = build_problem(dataclasses.replace(cfg, epsilon=eps))
@@ -360,6 +360,11 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["--config", str(tmp_path / "missing.cfg")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_unknown_problem_message_is_not_quoted(tmp_path, capsys):
+    assert main(["--problem", "foo", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown problem id 'foo'; expected 'sqrt'")
 
 
 def test_cli_step_shorthand_off_constant_exits_2(tmp_path, capsys):

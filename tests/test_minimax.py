@@ -175,6 +175,28 @@ def test_oracle_accounting_nonmonotone(driver):
     assert traj.records[-1].oracle_calls == 1 + steps + raises + drops
 
 
+def test_rejected_probe_costs_two_extra_calls():
+    """A probe at k - 1 that fails the delta test is followed by a second
+    evaluation of the inherited step: three calls at one k, the third at the
+    point of the first."""
+    prob = make_quadratic_minmin(1)
+    best_response, points = prob.best_response, []
+    prob.best_response = lambda x: points.append(np.array(x)) or best_response(x)
+    traj = minmin_backtrack_nonmonotone(prob, [2.0], BacktrackParams(gamma=5.0), StopRule(max_iters=40))
+    assert len(points) == traj.records[-1].oracle_calls
+    # the calls of step n >= 1 follow those counted in record n - 1
+    searches = [
+        (before.oracle_calls, after.oracle_calls - before.oracle_calls, after.k - before.k)
+        for before, after in zip(traj.records[:-2], traj.records[1:-1])
+    ]
+    assert len(searches) == 39
+    repeated = [first for first, calls, dk in searches if calls == 3 and dk == 0]
+    assert len(repeated) == 25
+    for first in repeated:
+        np.testing.assert_array_equal(points[first + 2], points[first])
+        assert np.any(points[first + 1] != points[first])
+
+
 def test_oracle_calls_monotone_in_records():
     prob = make_quadratic_minmin(2)
     traj = minmin_backtrack_nonmonotone(prob, prob.x0_default)
@@ -260,15 +282,23 @@ def test_heuristic_first_trial_step_is_gamma():
         assert r.step == params.gamma
 
 
-def test_heuristic_warm_start_reuses_previous_response():
-    """Warm starts shrink the inner error, so the stale-y gradient stays close to exact."""
+def test_heuristic_inner_solves_start_from_the_previous_response():
+    """The first inner solve starts cold; every later one from the response before it."""
     prob = make_quadratic_saddle(2)
-    short = InnerAscentBudget(steps=12, step_size=0.5, warm_start=True)
-    cold = InnerAscentBudget(steps=12, step_size=0.5, warm_start=False)
-    stop = StopRule(grad_tol=1e-10, max_iters=40)
-    warm_traj = minmax_heuristic(prob, np.array([2.0, -1.0]), budget=short, stop=stop)
-    cold_traj = minmax_heuristic(prob, np.array([2.0, -1.0]), budget=cold, stop=stop)
-    assert np.linalg.norm(warm_traj.final_x) <= np.linalg.norm(cold_traj.final_x)
+    approx, solves = prob.approx_response, []
+
+    def recorded(x, y_warm, budget):
+        y = approx(x, y_warm, budget)
+        solves.append((y_warm, y))
+        return y
+
+    prob.approx_response = recorded
+    budget = InnerAscentBudget(steps=12, step_size=0.5)
+    traj = minmax_heuristic(prob, np.array([2.0, -1.0]), budget=budget, stop=StopRule(max_iters=40))
+    assert len(solves) == traj.records[-1].oracle_calls > 2
+    assert solves[0][0] is None
+    for (_, previous), (y_warm, _) in zip(solves, solves[1:]):
+        assert y_warm is previous
 
 
 def test_heuristic_requires_approx_oracle():
