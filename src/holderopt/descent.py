@@ -125,16 +125,13 @@ class TrajectoryRecord:
 CSV_HEADER = "n,oracle_calls,f,grad_norm,step,k"
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
 def write_csv_atomic(path, header: str, rows) -> None:
-    """Write CSV text to ``path`` atomically (temp file + rename)."""
+    """Write the ``header`` line and the formatted ``rows`` to ``path`` atomically
+    (temp file + rename)."""
     path = os.fspath(path)
     tmp = path + ".tmp"
     lines = [header]
-    lines.extend(",".join(r) for r in rows)
+    lines.extend(rows)
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     os.replace(tmp, path)
@@ -173,8 +170,9 @@ class Trajectory:
         return self.records[-1].x
 
     def to_csv(self, path) -> None:
+        # float() first: under numpy 2 the repr of an np.float64 is "np.float64(...)"
         rows = (
-            (str(r.n), str(r.oracle_calls), _fmt(r.f_value), _fmt(r.grad_norm), _fmt(r.step), str(r.k))
+            "%d,%d,%r,%r,%r,%d" % (r.n, r.oracle_calls, float(r.f_value), float(r.grad_norm), float(r.step), r.k)
             for r in self.records
         )
         write_csv_atomic(path, self.csv_header, rows)
@@ -302,7 +300,9 @@ def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, fro
             trial = x - step * grad
             if frozen:
                 t_value = evaluate.frozen_loss(trial)
-                _checked_norm(t_value, grad, n)
+                # the step reuses the gradient already checked at x
+                if not math.isfinite(t_value):
+                    raise NumericError("oracle returned a non-finite value, gradient or gradient norm", n)
             else:
                 t_value, t_grad = evaluate(trial)
                 calls += 1

@@ -67,11 +67,13 @@ _MIN_NEWTON_STEP = 2.0**-10
 def _sweeps_before_newton(n: int) -> float:
     """The sweeps left, at the last contraction rate, above which Newton takes over.
 
-    That is the cost of two Newton steps. One step, a (2n-1) x (2n-1) solve,
-    costs about as much as 4 + n^2 / 512 plain sweeps on one core (measured:
-    2 to 4 at n <= 32, 9 to 19 at 64, 40 to 95 at 128, 84 at 192): a Newton
-    solve takes a handful of steps where plain sweeps would take hundreds,
-    while solves that converge in a few dozen sweeps never switch.
+    That is the cost of two Newton steps. One step, a fold of the scalings
+    into the kernel and an (n-1) x (n-1) solve, costs about as much as
+    4 + n^2 / 512 plain sweeps on one core (measured on clouds at eps 0.05,
+    one BLAS thread: 5 to 8 at n <= 32, 11 to 12 at 64, 34 at 128, 65 to 74
+    at 192): a Newton solve takes a handful of steps where plain sweeps would
+    take hundreds, while solves that converge in a few dozen sweeps never
+    switch.
     """
     return 8.0 + n * n / 256.0
 
@@ -121,34 +123,58 @@ def _kernel(U, V, C, epsilon, work) -> np.ndarray:
 def _newton_row_scaling(K) -> np.ndarray | None:
     """log a after one damped Newton step on the dual from a = b = 1, or None.
 
-    The step d solves the joint system for both log scalings, with the gauge
-    fixed by d_b[-1] = 0; in units of eps the dual's gradient is (1 - r, 1 - c)
-    and its Hessian is minus the matrix below, for the row and column sums
-    r, c of K. The step length t starts where max |t d| = _MAX_LOG_SCALING or
-    at 1, and halves until the Armijo test holds. None means the system is
-    singular, d is not finite or not an ascent direction, or t fell below
-    _MIN_NEWTON_STEP.
+    The step d = (d_a, d_b) solves the joint system for both log scalings,
+    with the gauge fixed by d_b[-1] = 0; in units of eps the dual's gradient
+    is g = (1 - r, 1 - c) and its Hessian is minus
+    [[diag r, K'], [K'^T, diag c']], for the row and column sums r, c of K,
+    K' = K[:, :-1] and c' = c[:-1]. Eliminating d_a leaves one (n-1) x (n-1)
+    system S d_b' = 1 - W'.sum(axis=0) on the Schur complement
+    S = diag(c') - K'^T W', with W = K / r by rows and W' = W[:, :-1]; its
+    right-hand side is the column error after an exact row update. Then
+    d_a = (g_a - K' d_b') / r.
+
+    S's diagonal c_j - sum_i K_ij^2 / r_i cancels where a row's mass sits in
+    one entry, as it does for a plan near a permutation (and so does a
+    pivoted LU of the joint system, which pivots on diag r). It is summed as
+    sum_i W_ij (r_i - K_ij) instead, where r_i - K_ij is the sum of row i's
+    other entries when K_ij is the row's largest, and is at least r_i / 2
+    otherwise.
+
+    The step length t starts where max |t d| = _MAX_LOG_SCALING or at 1, and
+    halves until the Armijo test holds. None means a row of K sums to zero,
+    the system is singular, d is not finite or not an ascent direction, or t
+    fell below _MIN_NEWTON_STEP.
     """
-    n, m = K.shape[0], 2 * K.shape[0] - 1
+    n = K.shape[0]
     r, c = K.sum(axis=1), K.sum(axis=0)
-    # [[diag r, K'], [K'^T, diag c'] ] with K' = K[:, :-1] and c' = c[:-1]
-    diagonal = np.concatenate((r, c[:-1]))
-    system = np.zeros((m, m))
-    system[:n, n:] = K[:, :-1]
-    system[n:, :n] = K[:, :-1].T
-    system.flat[:: m + 1] = diagonal
-    grad = 1.0 - diagonal
+    if not r.min() > 0.0:
+        return None
+    W = K / r[:, None]
+    # r_i - K_ij, summed from the row's other entries where K_ij is its largest
+    rest = r[:, None] - K
+    rows, top = np.arange(n), K.argmax(axis=1)
+    others = K.copy()
+    others[rows, top] = 0.0
+    rest[rows, top] = others.sum(axis=1)
+    rest *= W
+    schur = -K.T.dot(W)[:-1, :-1]
+    schur.flat[::n] = rest.sum(axis=0)[:-1]
     try:
-        d = np.linalg.solve(system, grad)
+        d_b = np.linalg.solve(schur, (1.0 - W.sum(axis=0))[:-1])
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(d)):
+    if not np.all(np.isfinite(d_b)):
         return None
-    slope = grad.dot(d)
+    d_b = np.append(d_b, 0.0)
+    g_a = 1.0 - r
+    with np.errstate(over="ignore"):  # an overflowing d_a is inf and fails below
+        d_a = (g_a - K.dot(d_b)) / r
+    if not np.all(np.isfinite(d_a)):
+        return None
+    slope = g_a.dot(d_a) + (1.0 - c).dot(d_b)
     if not slope > 0:
         return None
-    d_a, d_b = d[:n], np.append(d[n:], 0.0)
-    t = min(1.0, _MAX_LOG_SCALING / np.abs(d).max())
+    t = min(1.0, _MAX_LOG_SCALING / max(np.abs(d_a).max(), np.abs(d_b).max()))
     while t >= _MIN_NEWTON_STEP:
         ea, eb = np.expm1(t * d_a), np.expm1(t * d_b)
         # the dual's gain sum(t d) - sum_ij K_ij (e^(t (d_a_i + d_b_j)) - 1), summed
@@ -188,12 +214,14 @@ def sinkhorn_solve(
     two Newton steps cost (:func:`_sweeps_before_newton`), or the error
     stopped falling.
     From then on each iteration folds ``a, b`` into ``U, V``, rebuilds ``K``
-    and takes one damped Newton step on the joint dual (see
-    :func:`_newton_row_scaling`), keeping its row part as ``log a``. If the
-    Newton system is singular, its direction is no ascent or the line search
-    falls below ``_MIN_NEWTON_STEP``, that iteration takes a plain sweep, and
-    the rule decides again. A 1x1 cost converges in one sweep and never
-    switches.
+    and takes one damped Newton step on the joint dual, keeping its row part
+    as ``log a``. The step solves one (n-1) x (n-1) system, the Schur
+    complement left after eliminating the row update, with a diagonal summed
+    so that it does not cancel when the plan nears a permutation (see
+    :func:`_newton_row_scaling`). If a row of ``K`` sums to zero, the system
+    is singular, its direction is no ascent or the line search falls below
+    ``_MIN_NEWTON_STEP``, that iteration takes a plain sweep, and the rule
+    decides again. A 1x1 cost converges in one sweep and never switches.
 
     A column update whose ``b`` would leave ``exp(+-_MAX_LOG_SCALING)``, for
     example where a column of ``K`` underflowed, runs its column and row

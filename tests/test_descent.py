@@ -13,6 +13,7 @@ from holderopt import (
     SmoothObjective,
     StopRule,
     Trajectory,
+    TrajectoryRecord,
     ValueFunctionView,
     backtrack_holder_gd,
     backtrack_step,
@@ -370,6 +371,18 @@ def test_csv_bytes_are_reproducible(tmp_path):
     backtrack_holder_gd(view, [2.0]).to_csv(pa)
     backtrack_holder_gd(view, [2.0]).to_csv(pb)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+@pytest.mark.parametrize("kind", [float, np.float64])
+def test_csv_floats_are_plain_reprs(tmp_path, kind):
+    """Each float field is written as repr(float(v)), whether the record holds a
+    float or an np.float64, whose numpy 2 repr is np.float64(...)."""
+    values = [-0.0, 5e-324, 1e16, 1e-5, float(np.finfo(float).max)]
+    records = [TrajectoryRecord(i, i + 1, np.zeros(1), kind(v), kind(v), kind(v), i) for i, v in enumerate(values)]
+    path = tmp_path / "run.csv"
+    Trajectory(records, CONVERGED).to_csv(path)
+    rows = [f"{i},{i + 1},{v!r},{v!r},{v!r},{i}" for i, v in enumerate(values)]
+    assert path.read_bytes() == ("\n".join([CSV_HEADER, *rows]) + "\n").encode()
 
 
 def test_trajectory_helpers():

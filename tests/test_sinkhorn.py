@@ -1,5 +1,7 @@
 """Entropic transport solver against closed forms and brute-force minimization."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -315,7 +317,8 @@ def test_failed_newton_system_falls_back_to_plain_sweeps(monkeypatch):
     monkeypatch.setattr(sinkhorn_module.np.linalg, "solve", singular)
     result = sinkhorn_solve(C, 0.02)
     assert len(solves) > 1
-    assert all(shape == (127, 127) for shape in solves)
+    # the (n - 1) x (n - 1) Schur complement, not the (2n - 1) x (2n - 1) joint system
+    assert all(shape == (63, 63) for shape in solves)
     assert result.sweeps == reference_solve(C, 0.02)[-1]
     assert_certified(result, C, 1e-9)
 
@@ -330,6 +333,65 @@ def test_gaussian_clouds_converge_after_a_failed_newton_step(seed):
     x, y = rng.standard_normal((64, 2)), rng.standard_normal((64, 2))
     C = np.sqrt(((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1))
     assert_certified(sinkhorn_solve(C, 0.02, max_sweeps=100), C, 1e-9)
+
+
+def random_cloud_cases():
+    """Cost and eps of each random cloud pair, in draw order: two n-point
+    standard-normal clouds, the second moved right by an offset in [0, 3)."""
+    rng = np.random.default_rng(2026)
+    while True:
+        n = int(rng.integers(8, 65))
+        eps = float(np.exp(rng.uniform(np.log(0.01), np.log(0.1))))
+        off = rng.uniform(0, 3)
+        x = rng.standard_normal((n, 2))
+        y = rng.standard_normal((n, 2)) + [off, 0.0]
+        yield np.sqrt(((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)), eps
+
+
+@pytest.mark.parametrize("case, n, eps", [(102, 9, 0.026), (103, 45, 0.0128), (107, 18, 0.0113), (174, 24, 0.0123)])
+def test_random_clouds_near_a_permutation_converge(case, n, eps):
+    """Near convergence some row of these plans holds its mass in one entry, so
+    that entry equals the row sum in float64. A Newton system eliminated on
+    diag r then cancels, every step fails its line search and plain sweeps
+    take 647 iterations (case 102) or stall past 100 000; the Schur
+    complement's diagonal, summed without that difference, takes 17 to 74."""
+    C, case_eps = next(itertools.islice(random_cloud_cases(), case, None))
+    assert C.shape == (n, n) and case_eps == pytest.approx(eps, abs=5e-5)
+    assert_certified(sinkhorn_solve(C, case_eps, max_sweeps=200), C, 1e-9)
+
+
+def joint_newton_step(K):
+    """d_a of the (2n - 1) x (2n - 1) joint Newton system, with d_b[-1] = 0."""
+    n, m = K.shape[0], 2 * K.shape[0] - 1
+    diagonal = np.concatenate((K.sum(axis=1), K.sum(axis=0)[:-1]))
+    system = np.zeros((m, m))
+    system[:n, n:] = K[:, :-1]
+    system[n:, :n] = K[:, :-1].T
+    system.flat[:: m + 1] = diagonal
+    return np.linalg.solve(system, 1.0 - diagonal)[:n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 64])
+def test_newton_step_matches_the_joint_system(n):
+    """A kernel near an eps = 1 plan: the full step passes the line search, and
+    its row part is the joint system's to 1e-10 relative."""
+    rng = np.random.default_rng(300 + n)
+    plan = sinkhorn_solve(rng.random((n, n)), 1.0).plan
+    K = plan * np.exp(0.05 * rng.standard_normal((n, 1))) * np.exp(0.05 * rng.standard_normal((1, n)))
+    with np.errstate(all="raise", under="ignore"):
+        la = sinkhorn_module._newton_row_scaling(K)
+    expected = joint_newton_step(K)
+    assert np.abs(la - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("row", [0.0, 1e-310])
+def test_newton_step_on_a_zero_or_subnormal_row_is_none(row):
+    """No step, and no floating-point error: a zero row sum would divide by
+    zero, and a subnormal one overflows the back-substitution to inf."""
+    K = np.random.default_rng(7).random((5, 5))
+    K[2] = row
+    with np.errstate(all="raise", under="ignore"):
+        assert sinkhorn_module._newton_row_scaling(K) is None
 
 
 def test_newton_steps_take_fewer_iterations_than_plain_sweeps():
