@@ -173,8 +173,12 @@ def make_quadratic_saddle(dim: int) -> MinMaxProblem:
 
     def approx_response(x, y_warm, budget):
         y = np.zeros(dim) if y_warm is None else np.array(y_warm, dtype=float)
+        step = np.empty(dim)
         for _ in range(budget.steps):
-            y = y + budget.step_size * (x - y)
+            # y + s * (x - y) in place: the same three operations, so the same bits
+            np.subtract(x, y, out=step)
+            step *= budget.step_size
+            y += step
         return y
 
     return MinMaxProblem(
@@ -208,8 +212,13 @@ def make_quadratic_minmin(dim: int) -> MinMaxProblem:
 
     def approx_response(x, y_warm, budget):
         y = np.zeros(dim) if y_warm is None else np.array(y_warm, dtype=float)
+        step = np.empty(dim)
         for _ in range(budget.steps):
-            y = y - budget.step_size * (2.0 * y - x)
+            # y - s * (2 y - x) in place: the same operations, so the same bits
+            np.multiply(y, 2.0, out=step)
+            step -= x
+            step *= budget.step_size
+            y -= step
         return y
 
     return MinMaxProblem(
@@ -293,6 +302,36 @@ def _pair_distances(points: Array) -> Array:
 # below the largest gap within which gaps enter the fit
 _ENVELOPE_BINS = 12
 _GAP_SPAN = 100.0
+# pairs per block of the envelope's pass: a block's bin numbers and sort order
+# stay in cache, and its temporaries take about 1 MB
+_ENVELOPE_BLOCK = 2**16
+
+
+def _envelope(u: Array, v: Array) -> tuple[Array, Array]:
+    """u and v at the first maximum of v in each nonempty bin of u.
+
+    The ``_ENVELOPE_BINS`` bins split [min u, max u] evenly, numbered as
+    ``np.digitize`` numbers them. One pass takes the pairs a block at a time:
+    a stable sort on the block's bin numbers, a radix sort at one byte each,
+    lists every bin's members in index order, and a later block's maximum
+    replaces an earlier one only when it is larger, so each bin keeps its
+    first maximum, as ``np.argmax`` does.
+    """
+    edges = np.linspace(u.min(), u.max() + 1e-12, _ENVELOPE_BINS + 1)
+    tops = np.full(_ENVELOPE_BINS, -1)
+    for lo in range(0, u.size, _ENVELOPE_BLOCK):
+        block = v[lo : lo + _ENVELOPE_BLOCK]
+        which = np.digitize(u[lo : lo + _ENVELOPE_BLOCK], edges).astype(np.uint8)
+        order = np.argsort(which, kind="stable")
+        ends = np.cumsum(np.bincount(which, minlength=_ENVELOPE_BINS + 1))
+        for b in range(_ENVELOPE_BINS):
+            members = order[ends[b] : ends[b + 1]]
+            if members.size:
+                top = lo + members[np.argmax(block[members])]
+                if tops[b] < 0 or v[top] > v[tops[b]]:
+                    tops[b] = top
+    tops = tops[tops >= 0]
+    return u[tops], v[tops]
 
 
 def estimate_holder_constants(obj: SmoothObjective, region, samples: int = 512, seed: int = 0) -> HolderCertificate:
@@ -342,20 +381,8 @@ def estimate_holder_constants(obj: SmoothObjective, region, samples: int = 512, 
     u, v = dx[fit], dg[fit]
     np.log(u, out=u)
     np.log(v, out=v)
-    env_u, env_v = [], []
-    if u.size:
-        edges = np.linspace(u.min(), u.max() + 1e-12, _ENVELOPE_BINS + 1)
-        which = np.digitize(u, edges)
-        for b in range(1, _ENVELOPE_BINS + 1):
-            members = np.flatnonzero(which == b)
-            if members.size == 0:
-                continue
-            top = members[np.argmax(v[members])]
-            env_u.append(u[top])
-            env_v.append(v[top])
+    env_u, env_v = _envelope(u, v) if u.size else (np.empty(0), np.empty(0))
     del u, v  # the ratio below takes two more pair-sized arrays
-    env_u = np.asarray(env_u)
-    env_v = np.asarray(env_v)
 
     if env_u.size >= 2 and np.ptp(env_u) > 0:
         slope, _ = np.polyfit(env_u, env_v, 1)

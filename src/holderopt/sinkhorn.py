@@ -6,14 +6,15 @@ scaling iterations on a stabilized kernel ``K_ij = exp((U_i + V_j - C_ij) / eps)
 each iteration updates the scalings ``a, b``, and the plan is
 ``P_ij = a_i K_ij b_j``. The row scaling comes from a plain sweep, two
 matrix-vector products, until the sweeps' contraction rate shows that they
-would be slow; from then on it comes from damped Newton steps on the joint
-dual (Brauer, Clason, Lorenz & Wirth, "A Sinkhorn-Newton method for entropic
-optimal transport", arXiv:1710.06635, 2017). Where a Newton step fails, that
-iteration takes a plain sweep, and the rule decides again. Before a scaling
-leaves a fixed range it is absorbed: the sweep runs in the log domain, its
-potentials become the new ``U, V`` and ``K`` is rebuilt from them. The optimal
-plan is the gradient of the transport objective with respect to the cost
-matrix.
+would be slow; from then on each iteration takes a Newton column step, then
+the exact row update for it: the column part of a damped Newton step on the
+joint dual (Brauer, Clason, Lorenz & Wirth, "A Sinkhorn-Newton method for
+entropic optimal transport", arXiv:1710.06635, 2017), damped on the dual
+after an exact row update. Where a Newton step fails, that iteration takes a
+plain sweep, and the rule decides again. Before a scaling leaves a fixed
+range it is absorbed: the sweep runs in the log domain, its potentials become
+the new ``U, V`` and ``K`` is rebuilt from them. The optimal plan is the
+gradient of the transport objective with respect to the cost matrix.
 
 A solve may start from a given column potential. :class:`holderopt.gan.GanObjective`
 passes on the one of its last solve, since consecutive oracle calls of a step
@@ -68,9 +69,10 @@ def _sweeps_before_newton(n: int) -> float:
     """The sweeps left, at the last contraction rate, above which Newton takes over.
 
     That is the cost of two Newton steps. One step, a fold of the scalings
-    into the kernel and an (n-1) x (n-1) solve, costs about as much as
-    4 + n^2 / 512 plain sweeps on one core (measured on clouds at eps 0.05,
-    one BLAS thread: 5 to 8 at n <= 32, 11 to 12 at 64, 34 at 128, 65 to 74
+    into the kernel, an (n-1) x (n-1) solve and the exact row update, costs
+    at most about as much as 4 + n^2 / 512 plain sweeps on one core
+    (measured on clouds at eps 0.05, one BLAS thread, near convergence, on a
+    noisy host: 3 to 8 at n <= 32, 6 to 10 at 64, 26 to 34 at 128, 42 to 74
     at 192): a Newton solve takes a handful of steps where plain sweeps would
     take hundreds, while solves that converge in a few dozen sweeps never
     switch.
@@ -121,17 +123,16 @@ def _kernel(U, V, C, epsilon, work) -> np.ndarray:
 
 
 def _newton_row_scaling(K) -> np.ndarray | None:
-    """log a after one damped Newton step on the dual from a = b = 1, or None.
+    """log a after one damped Newton column step from a = b = 1, or None.
 
-    The step d = (d_a, d_b) solves the joint system for both log scalings,
-    with the gauge fixed by d_b[-1] = 0; in units of eps the dual's gradient
-    is g = (1 - r, 1 - c) and its Hessian is minus
+    The step d_b is the column part of the Newton step on the joint dual, with
+    the gauge fixed by d_b[-1] = 0; in units of eps the dual's gradient is
+    g = (1 - r, 1 - c) and its Hessian is minus
     [[diag r, K'], [K'^T, diag c']], for the row and column sums r, c of K,
-    K' = K[:, :-1] and c' = c[:-1]. Eliminating d_a leaves one (n-1) x (n-1)
-    system S d_b' = 1 - W'.sum(axis=0) on the Schur complement
+    K' = K[:, :-1] and c' = c[:-1]. Eliminating the row part leaves one
+    (n-1) x (n-1) system S d_b' = 1 - W'.sum(axis=0) on the Schur complement
     S = diag(c') - K'^T W', with W = K / r by rows and W' = W[:, :-1]; its
-    right-hand side is the column error after an exact row update. Then
-    d_a = (g_a - K' d_b') / r.
+    right-hand side is the column error after an exact row update.
 
     S's diagonal c_j - sum_i K_ij^2 / r_i cancels where a row's mass sits in
     one entry, as it does for a plan near a permutation (and so does a
@@ -140,14 +141,20 @@ def _newton_row_scaling(K) -> np.ndarray | None:
     other entries when K_ij is the row's largest, and is at least r_i / 2
     otherwise.
 
-    The step length t starts where max |t d| = _MAX_LOG_SCALING or at 1, and
-    halves until the Armijo test holds. None means a row of K sums to zero,
-    the system is singular, d is not finite or not an ascent direction, or t
-    fell below _MIN_NEWTON_STEP.
+    The row part of the joint step is not used: the step is taken on the
+    semi-dual psi(lb) = sum(lb) - sum_i log (K e^lb)_i, the dual after an exact
+    row update (Cuturi & Peyre, "A Smoothed Dual Approach for Variational
+    Wasserstein Problems", SIAM J. Imaging Sci. 9(1), 2016), and the row
+    scaling returned is that exact update for the accepted column step. The
+    step length t starts where max |t d_b| = _MAX_LOG_SCALING or at 1, and
+    halves until the Armijo test on psi holds. None means a row of K sums to
+    at most exp(-_MAX_LOG_SCALING), the system is singular, d_b is not finite
+    or not an ascent direction (as at n = 1, where no column moves), or t fell
+    below _MIN_NEWTON_STEP.
     """
     n = K.shape[0]
-    r, c = K.sum(axis=1), K.sum(axis=0)
-    if not r.min() > 0.0:
+    r = K.sum(axis=1)
+    if not r.min() > math.exp(-_MAX_LOG_SCALING):
         return None
     W = K / r[:, None]
     # r_i - K_ij, summed from the row's other entries where K_ij is its largest
@@ -159,29 +166,26 @@ def _newton_row_scaling(K) -> np.ndarray | None:
     rest *= W
     schur = -K.T.dot(W)[:-1, :-1]
     schur.flat[::n] = rest.sum(axis=0)[:-1]
+    g = (1.0 - W.sum(axis=0))[:-1]
     try:
-        d_b = np.linalg.solve(schur, (1.0 - W.sum(axis=0))[:-1])
+        d = np.linalg.solve(schur, g)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(d_b)):
+    # finite only when every entry of d is
+    slope = float(g.dot(d))
+    if not (math.isfinite(slope) and slope > 0.0):
         return None
-    d_b = np.append(d_b, 0.0)
-    g_a = 1.0 - r
-    with np.errstate(over="ignore"):  # an overflowing d_a is inf and fails below
-        d_a = (g_a - K.dot(d_b)) / r
-    if not np.all(np.isfinite(d_a)):
-        return None
-    slope = g_a.dot(d_a) + (1.0 - c).dot(d_b)
-    if not slope > 0:
-        return None
-    t = min(1.0, _MAX_LOG_SCALING / max(np.abs(d_a).max(), np.abs(d_b).max()))
+    d_b, total = np.append(d, 0.0), d.sum()
+    t = min(1.0, _MAX_LOG_SCALING / np.abs(d).max())
     while t >= _MIN_NEWTON_STEP:
-        ea, eb = np.expm1(t * d_a), np.expm1(t * d_b)
-        # the dual's gain sum(t d) - sum_ij K_ij (e^(t (d_a_i + d_b_j)) - 1), summed
-        # from terms of the step's own size rather than as a difference of two duals
-        gain = (t * d_a - r * ea).sum() + (t * d_b - c * eb).sum() - ea.dot(K.dot(eb))
-        if gain >= _ARMIJO * t * slope:
-            return t * d_a
+        # (K e^(t d_b))_i / r_i - 1; at -1 in float64 row i keeps no mass
+        e = W.dot(np.expm1(t * d_b))
+        if e.min() > -1.0:
+            lw = np.log1p(e)
+            # psi's gain, summed from terms of the step's own size rather than
+            # as a difference of two duals
+            if t * total - lw.sum() >= _ARMIJO * t * slope:
+                return -(np.log(r) + lw)
         t /= 2.0
     return None
 
@@ -214,12 +218,14 @@ def sinkhorn_solve(
     two Newton steps cost (:func:`_sweeps_before_newton`), or the error
     stopped falling.
     From then on each iteration folds ``a, b`` into ``U, V``, rebuilds ``K``
-    and takes one damped Newton step on the joint dual, keeping its row part
-    as ``log a``. The step solves one (n-1) x (n-1) system, the Schur
-    complement left after eliminating the row update, with a diagonal summed
-    so that it does not cancel when the plan nears a permutation (see
-    :func:`_newton_row_scaling`). If a row of ``K`` sums to zero, the system
-    is singular, its direction is no ascent or the line search falls below
+    and takes a Newton column step, then the exact row update for it, as
+    ``log a``. The column step is the column part of the damped Newton step
+    on the joint dual, from one (n-1) x (n-1) system, the Schur complement
+    left after eliminating the row update, with a diagonal summed so that it
+    does not cancel when the plan nears a permutation; its line search tests
+    the dual after the exact row update (see :func:`_newton_row_scaling`). If
+    a row of ``K`` sums to at most ``exp(-_MAX_LOG_SCALING)``, the system is
+    singular, its direction is no ascent or the line search falls below
     ``_MIN_NEWTON_STEP``, that iteration takes a plain sweep, and the rule
     decides again. A 1x1 cost converges in one sweep and never switches.
 

@@ -21,7 +21,8 @@ from holderopt import (
     make_quadratic_saddle,
     make_sqrt_problem,
 )
-from holderopt.problems import _pair_distances
+from holderopt import problems as problems_module
+from holderopt.problems import _ENVELOPE_BINS, _envelope, _pair_distances
 
 ALL_PROBLEMS = [
     make_sqrt_problem,
@@ -172,6 +173,30 @@ def test_approx_response_converges_to_exact(maker):
         assert np.linalg.norm(y2 - y_star) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "maker, ascent",
+    [
+        (make_quadratic_saddle, lambda x, y, s: y + s * (x - y)),
+        (make_quadratic_minmin, lambda x, y, s: y - s * (2.0 * y - x)),
+    ],
+)
+def test_approx_response_bits_match_the_expression(maker, ascent):
+    """The in-place inner steps give the bits of the step written as one expression,
+    and leave the warm start as it was."""
+    from holderopt import InnerAscentBudget
+
+    rng = np.random.default_rng(8)
+    budget = InnerAscentBudget(steps=50, step_size=0.3)
+    x, y_warm = rng.standard_normal(16), rng.standard_normal(16)
+    for start in (None, y_warm):
+        expected = np.zeros(16) if start is None else start
+        for _ in range(budget.steps):
+            expected = ascent(x, expected, budget.step_size)
+        before = y_warm.copy()
+        np.testing.assert_array_equal(maker(16).approx_response(x, start, budget), expected)
+        np.testing.assert_array_equal(y_warm, before)
+
+
 def test_finite_diff_gradient_quadratic():
     obj = SmoothObjective(2, lambda x: (0.5 * float(x @ x), x))
     fd = finite_diff_gradient(obj, [1.0, 2.0], 1e-5)
@@ -236,6 +261,49 @@ def test_estimate_constants_peak_memory_in_pair_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 6.5 * pair_array
+
+
+def scan_envelope(u, v):
+    """The envelope as one scan of all pairs per bin, the way it was first written."""
+    env_u, env_v = [], []
+    edges = np.linspace(u.min(), u.max() + 1e-12, _ENVELOPE_BINS + 1)
+    which = np.digitize(u, edges)
+    for b in range(1, _ENVELOPE_BINS + 1):
+        members = np.flatnonzero(which == b)
+        if members.size == 0:
+            continue
+        top = members[np.argmax(v[members])]
+        env_u.append(u[top])
+        env_v.append(v[top])
+    return np.asarray(env_u), np.asarray(env_v)
+
+
+@pytest.mark.parametrize("block", [7, 2**16])
+def test_envelope_takes_each_bins_first_maximum(monkeypatch, block):
+    """Ties in v, also across blocks, empty bins and a bin of one pair: the
+    same points as the scan."""
+    monkeypatch.setattr(problems_module, "_ENVELOPE_BLOCK", block)
+    rng = np.random.default_rng(12)
+    u = np.concatenate((rng.random(500), [3.0]))
+    v = rng.integers(0, 4, u.size).astype(float)
+    for actual, expected in zip(_envelope(u, v), scan_envelope(u, v)):
+        np.testing.assert_array_equal(actual, expected)
+    assert _envelope(u, v)[0].size < _ENVELOPE_BINS
+
+
+@pytest.mark.parametrize(
+    "case, samples, seed",
+    [("sqrt", 4096, 0), ("sqrt", 4096, 1), ("quadratic", 512, 0), ("quadratic", 512, 1), ("quadratic", 512, 2)],
+)
+def test_envelope_in_one_pass_keeps_the_certificate(monkeypatch, case, samples, seed):
+    """beta and nu bit for bit as with one scan of the pairs per bin."""
+    if case == "sqrt":
+        obj, region = ValueFunctionView(make_sqrt_problem()), [(0.0, 1.0)]
+    else:
+        obj, region = SmoothObjective(1, lambda x: (0.5 * x[0] ** 2, np.array([x[0]]))), [(-1.0, 1.0)]
+    cert = estimate_holder_constants(obj, region, samples=samples, seed=seed)
+    monkeypatch.setattr(problems_module, "_envelope", scan_envelope)
+    assert estimate_holder_constants(obj, region, samples=samples, seed=seed) == cert
 
 
 def test_estimate_constants_certifies_pairs_exactly_for_quadratic():

@@ -348,46 +348,67 @@ def random_cloud_cases():
         yield np.sqrt(((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)), eps
 
 
-@pytest.mark.parametrize("case, n, eps", [(102, 9, 0.026), (103, 45, 0.0128), (107, 18, 0.0113), (174, 24, 0.0123)])
+@pytest.mark.parametrize(
+    "case, n, eps", [(102, 9, 0.026), (103, 45, 0.0128), (107, 18, 0.0113), (174, 24, 0.0123), (230, 8, 0.0119)]
+)
 def test_random_clouds_near_a_permutation_converge(case, n, eps):
     """Near convergence some row of these plans holds its mass in one entry, so
     that entry equals the row sum in float64. A Newton system eliminated on
     diag r then cancels, every step fails its line search and plain sweeps
     take 647 iterations (case 102) or stall past 100 000; the Schur
-    complement's diagonal, summed without that difference, takes 17 to 74."""
+    complement's diagonal, summed without that difference, takes 15 to 130.
+    On all but case 107 a trial step of the line search empties a row in
+    float64, which the step must reject before it takes that row's log."""
     C, case_eps = next(itertools.islice(random_cloud_cases(), case, None))
     assert C.shape == (n, n) and case_eps == pytest.approx(eps, abs=5e-5)
     assert_certified(sinkhorn_solve(C, case_eps, max_sweeps=200), C, 1e-9)
 
 
+def test_random_cloud_sweep_converges():
+    """Every one of the 300 cases is certified at the default budget, in at
+    most 7 876 iterations in all, the count when each Newton step kept the
+    joint step's row part; keeping its column part takes 6 357."""
+    total = 0
+    for C, eps in itertools.islice(random_cloud_cases(), 300):
+        result = sinkhorn_solve(C, eps)
+        assert_certified(result, C, 1e-9)
+        total += result.sweeps
+    assert total <= 7876
+
+
 def joint_newton_step(K):
-    """d_a of the (2n - 1) x (2n - 1) joint Newton system, with d_b[-1] = 0."""
+    """d_b of the (2n - 1) x (2n - 1) joint Newton system, with d_b[-1] = 0 appended."""
     n, m = K.shape[0], 2 * K.shape[0] - 1
     diagonal = np.concatenate((K.sum(axis=1), K.sum(axis=0)[:-1]))
     system = np.zeros((m, m))
     system[:n, n:] = K[:, :-1]
     system[n:, :n] = K[:, :-1].T
     system.flat[:: m + 1] = diagonal
-    return np.linalg.solve(system, 1.0 - diagonal)[:n]
+    return np.append(np.linalg.solve(system, 1.0 - diagonal)[n:], 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 64])
 def test_newton_step_matches_the_joint_system(n):
     """A kernel near an eps = 1 plan: the full step passes the line search, and
-    its row part is the joint system's to 1e-10 relative."""
+    the row scaling is the exact row update -log(K e^d_b) for the joint
+    system's column part d_b, to 1e-10 relative. At n = 1 no column moves, so
+    there is no step."""
     rng = np.random.default_rng(300 + n)
     plan = sinkhorn_solve(rng.random((n, n)), 1.0).plan
     K = plan * np.exp(0.05 * rng.standard_normal((n, 1))) * np.exp(0.05 * rng.standard_normal((1, n)))
     with np.errstate(all="raise", under="ignore"):
         la = sinkhorn_module._newton_row_scaling(K)
-    expected = joint_newton_step(K)
+    if n == 1:
+        assert la is None
+        return
+    expected = -np.log(K.dot(np.exp(joint_newton_step(K))))
     assert np.abs(la - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("row", [0.0, 1e-310])
 def test_newton_step_on_a_zero_or_subnormal_row_is_none(row):
     """No step, and no floating-point error: a zero row sum would divide by
-    zero, and a subnormal one overflows the back-substitution to inf."""
+    zero, and a subnormal one would give a row scaling that overflows."""
     K = np.random.default_rng(7).random((5, 5))
     K[2] = row
     with np.errstate(all="raise", under="ignore"):
