@@ -58,7 +58,6 @@ from .problems import (
     MinMaxProblem,
     SmoothObjective,
     ValueFunctionView,
-    estimate_holder_constants,
     finite_diff_gradient,
     get_problem,
     make_quadratic_minmin,

@@ -347,11 +347,10 @@ def holder_gd(
 ) -> Trajectory:
     """Gradient descent with the known-constants Holder step.
 
-    ``gamma=None`` uses :func:`optimal_holder_gamma`. Requires a global
-    certificate. One oracle call per iteration; records carry k = 0.
+    ``gamma=None`` uses :func:`optimal_holder_gamma`. ``cert`` is taken as a
+    global bound, as the caller asserts it; nothing checks it against ``obj``.
+    One oracle call per iteration; records carry k = 0.
     """
-    if not cert.global_flag:
-        raise ValueError("holder_gd needs a certificate valid on the whole region visited")
     if gamma is None:
         gamma = optimal_holder_gamma(cert)
     # validate gamma once up front so a bad range fails before any oracle call

@@ -227,8 +227,8 @@ _INNER_FIELDS = {"inner_steps": "steps", "inner_step_size": "step_size"}
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat ``key = value`` lines; ``#`` starts a comment line (there are no inline comments)."""
-    values = {}
+    """Parse flat ``key = value`` lines, each key once; ``#`` starts a comment line (no inline comments)."""
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -242,6 +242,9 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(
                 f"line {lineno}: unknown key {key!r}; valid keys: {', '.join(sorted(_CONFIG_KEYS))}"
             )
+        if key in lines:
+            raise ValueError(f"line {lineno}: key {key!r} repeats line {lines[key]}")
+        lines[key] = lineno
         kind = _CONFIG_KEYS[key]
         try:
             if kind == "vector":

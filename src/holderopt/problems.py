@@ -19,15 +19,14 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class HolderCertificate:
-    """Asserts ``|grad f(x) - grad f(y)| <= beta * |x - y|**nu``.
+    """Asserts ``|grad f(x) - grad f(y)| <= beta * |x - y|**nu`` for all x and y.
 
-    ``global_flag`` records whether the bound is claimed globally or only on
-    the sampled/estimated region.
+    A global bound, asserted by whoever builds the certificate; only the
+    ranges of beta and nu are checked here.
     """
 
     beta: float
     nu: float
-    global_flag: bool = True
 
     def __post_init__(self):
         if not (self.beta > 0 and np.isfinite(self.beta)):
@@ -89,11 +88,13 @@ class MinMaxProblem:
             raise ValueError("problem needs at least one inner oracle")
 
     def start_point(self, x0) -> Array:
-        """``x0`` as a float vector; raises ValueError unless it has ``dim_x`` entries."""
+        """``x0`` as a float vector; raises ValueError unless it has ``dim_x`` finite entries."""
         x = np.atleast_1d(np.asarray(x0, dtype=float))
+        name = f" {self.name}" if self.name else ""
         if x.shape != (self.dim_x,):
-            name = f" {self.name}" if self.name else ""
             raise ValueError(f"start point for problem{name} must have shape ({self.dim_x},), got {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"start point for problem{name} must be finite, got {x.tolist()}")
         return x
 
     def value_and_grad(self, x) -> tuple:
@@ -151,7 +152,7 @@ def make_sqrt_problem() -> MinMaxProblem:
         sense="min-max",
         best_response=best_response,
         approx_response=approx_response,
-        certificate=HolderCertificate(beta=1.0, nu=0.5, global_flag=True),
+        certificate=HolderCertificate(beta=1.0, nu=0.5),
         x0_default=np.array([1.0]),
         name="sqrt",
     )
@@ -189,7 +190,7 @@ def make_quadratic_saddle(dim: int) -> MinMaxProblem:
         sense="min-max",
         best_response=best_response,
         approx_response=approx_response,
-        certificate=HolderCertificate(beta=1.0, nu=1.0, global_flag=True),
+        certificate=HolderCertificate(beta=1.0, nu=1.0),
         x0_default=np.ones(dim),
         name=f"quadratic_saddle:{dim}",
     )
@@ -229,7 +230,7 @@ def make_quadratic_minmin(dim: int) -> MinMaxProblem:
         sense="min-min",
         best_response=best_response,
         approx_response=approx_response,
-        certificate=HolderCertificate(beta=0.5, nu=1.0, global_flag=True),
+        certificate=HolderCertificate(beta=0.5, nu=1.0),
         x0_default=2.0 * np.ones(dim),
         name=f"quadratic_minmin:{dim}",
     )
@@ -275,122 +276,3 @@ def finite_diff_gradient(f, x, h: float = 1e-6) -> Array:
         e[i] = h
         g[i] = (fn(x + e) - fn(x - e)) / (2.0 * h)
     return g
-
-
-def _pair_distances(points: Array) -> Array:
-    """Euclidean distances of all pairs i < j of rows, in ``scipy.spatial.distance.pdist``'s order.
-
-    Each row of pairs is written into one preallocated n(n-1)/2 array, so the
-    peak memory is that of the result. Squares are summed one coordinate at a
-    time, the order ``pdist`` sums them in, so the bits agree with it.
-    """
-    n, d = points.shape
-    out = np.empty(n * (n - 1) // 2)
-    start = 0
-    for i in range(n - 1):
-        diff = points[i + 1 :] - points[i]
-        row = out[start : start + n - 1 - i]
-        np.multiply(diff[:, 0], diff[:, 0], out=row)
-        for j in range(1, d):
-            row += diff[:, j] * diff[:, j]
-        np.sqrt(row, out=row)
-        start += n - 1 - i
-    return out
-
-
-# the envelope fit of estimate_holder_constants: log-gap bins, and the factor
-# below the largest gap within which gaps enter the fit
-_ENVELOPE_BINS = 12
-_GAP_SPAN = 100.0
-# pairs per block of the envelope's pass: a block's bin numbers and sort order
-# stay in cache, and its temporaries take about 1 MB
-_ENVELOPE_BLOCK = 2**16
-
-
-def _envelope(u: Array, v: Array) -> tuple[Array, Array]:
-    """u and v at the first maximum of v in each nonempty bin of u.
-
-    The ``_ENVELOPE_BINS`` bins split [min u, max u] evenly, numbered as
-    ``np.digitize`` numbers them. One pass takes the pairs a block at a time:
-    a stable sort on the block's bin numbers, a radix sort at one byte each,
-    lists every bin's members in index order, and a later block's maximum
-    replaces an earlier one only when it is larger, so each bin keeps its
-    first maximum, as ``np.argmax`` does.
-    """
-    edges = np.linspace(u.min(), u.max() + 1e-12, _ENVELOPE_BINS + 1)
-    tops = np.full(_ENVELOPE_BINS, -1)
-    for lo in range(0, u.size, _ENVELOPE_BLOCK):
-        block = v[lo : lo + _ENVELOPE_BLOCK]
-        which = np.digitize(u[lo : lo + _ENVELOPE_BLOCK], edges).astype(np.uint8)
-        order = np.argsort(which, kind="stable")
-        ends = np.cumsum(np.bincount(which, minlength=_ENVELOPE_BINS + 1))
-        for b in range(_ENVELOPE_BINS):
-            members = order[ends[b] : ends[b + 1]]
-            if members.size:
-                top = lo + members[np.argmax(block[members])]
-                if tops[b] < 0 or v[top] > v[tops[b]]:
-                    tops[b] = top
-    tops = tops[tops >= 0]
-    return u[tops], v[tops]
-
-
-def estimate_holder_constants(obj: SmoothObjective, region, samples: int = 512, seed: int = 0) -> HolderCertificate:
-    """Estimate a Holder certificate for ``grad obj`` on a box region.
-
-    Draws ``samples`` points uniformly in the box (a sequence of ``(lo, hi)``
-    per coordinate), evaluates the gradient once per point, and fits
-    ``log |grad f(x1) - grad f(x2)| <= log beta + nu * log |x1 - x2|`` over
-    all pairs of samples, discarding pairs closer than 1e-9.
-
-    Where the inequality binds is the upper envelope of the pair scatter, so
-    the exponent comes from a least-squares line through per-bin maxima of the
-    gradient differences, with gaps binned on a log scale into
-    ``_ENVELOPE_BINS`` bins. Only gaps within a factor ``_GAP_SPAN`` of the
-    largest one enter the fit: below that scale the samples are too sparse
-    for a bin maximum to approach the true envelope, and the fit would tilt
-    toward the interior (Lipschitz) behaviour. beta is then inflated to the
-    largest residual so the returned certificate holds on every sampled pair.
-    ``global_flag`` is False: the estimate is local to the region. Diagnostic
-    quality only; for sharp exponents (think sqrt-like corners) use a few
-    thousand samples.
-
-    Raises ValueError if the region has zero volume or ``samples < 2``.
-    """
-    box = np.asarray(region, dtype=float)
-    if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] != obj.dim:
-        raise ValueError(f"region must be {obj.dim} (lo, hi) rows, got shape {box.shape}")
-    lo, hi = box[:, 0], box[:, 1]
-    if not np.all(hi > lo):
-        raise ValueError("region has zero volume: every coordinate needs hi > lo")
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples to form a pair, got {samples}")
-
-    rng = np.random.default_rng(seed)
-    points = lo + (hi - lo) * rng.random((samples, obj.dim))
-    grads = np.array([obj.eval(p)[1] for p in points])
-
-    dx = _pair_distances(points)
-    dg = _pair_distances(grads)
-    keep = dx >= 1e-9
-    if not np.any(keep & (dg > 1e-15)):
-        # gradient is constant on the region up to noise; any tiny beta certifies
-        return HolderCertificate(beta=1e-12, nu=1.0, global_flag=False)
-
-    # some pair is kept, so the largest kept gap is the largest gap
-    fit = (dx >= max(1e-9, dx.max() / _GAP_SPAN)) & (dg > 1e-15)
-    u, v = dx[fit], dg[fit]
-    np.log(u, out=u)
-    np.log(v, out=v)
-    env_u, env_v = _envelope(u, v) if u.size else (np.empty(0), np.empty(0))
-    del u, v  # the ratio below takes two more pair-sized arrays
-
-    if env_u.size >= 2 and np.ptp(env_u) > 0:
-        slope, _ = np.polyfit(env_u, env_v, 1)
-    else:
-        slope = 1.0
-    nu = float(np.clip(slope, 0.01, 1.0))
-    pos = keep & (dg > 0)
-    ratio = dx[pos]
-    ratio **= nu
-    beta = float(np.max(np.divide(dg[pos], ratio, out=ratio)))
-    return HolderCertificate(beta=beta, nu=nu, global_flag=False)

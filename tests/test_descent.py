@@ -174,13 +174,6 @@ def test_holder_gd_one_step_on_sqrt():
     assert abs(traj.final_x[0]) <= 1e-15
 
 
-def test_holder_gd_requires_global_certificate():
-    view = ValueFunctionView(make_sqrt_problem())
-    local = HolderCertificate(1.0, 0.5, global_flag=False)
-    with pytest.raises(ValueError):
-        holder_gd(view, [1.0], local)
-
-
 def test_holder_gd_rejects_bad_gamma_before_any_oracle_call():
     problem = make_sqrt_problem()
     best_response = problem.best_response

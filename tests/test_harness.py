@@ -13,6 +13,7 @@ from holderopt import (
     StopRule,
     build_problem,
     compare_and_plot,
+    get_problem,
     init_params,
     load_config,
     param_count,
@@ -20,6 +21,7 @@ from holderopt import (
     sample_data,
     sample_latents,
 )
+from holderopt import problems as problems_module
 from holderopt.cli import main
 from holderopt.harness import (
     GENERATOR_WIDTHS,
@@ -138,6 +140,9 @@ def test_parse_config_errors_name_the_line():
         parse_config_text("# start\ngamma = 1\nx0 = 1.0,,2.0")
     with pytest.raises(ValueError, match="line 1: gamma: could not convert string to float: '0.1 # step'"):
         parse_config_text("gamma = 0.1 # step")
+    # a repeated key is refused, not taken as an override of the first
+    with pytest.raises(ValueError, match=r"^line 3: key 'seed' repeats line 2$"):
+        parse_config_text("problem = sqrt\nseed = 1\nseed = 2")
 
 
 def test_config_from_values_threads_fields():
@@ -379,4 +384,25 @@ def test_cli_wrong_length_start_exits_2(tmp_path, capsys):
     path.write_text("problem = quadratic_saddle:8\nx0 = 1,2,3\n")
     assert main(["--config", str(path), "--out", str(tmp_path / "runs")]) == 2
     assert "error: start point for problem quadratic_saddle:8 must have shape (8,)" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("x0", ["nan,1", "1,-inf"])
+def test_cli_non_finite_start_exits_2_before_any_oracle_call(tmp_path, capsys, monkeypatch, x0):
+    """The start point is refused by name; the oracle is never asked, so it is not blamed."""
+    calls = []
+
+    def counted_problem(problem_id):
+        problem = get_problem(problem_id)
+        for name in ("best_response", "approx_response", "loss", "grad_x"):
+            fn = getattr(problem, name)
+            setattr(problem, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+        return problem
+
+    monkeypatch.setattr(problems_module, "get_problem", counted_problem)
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"problem = quadratic_saddle:2\nx0 = {x0}\n")
+    assert main(["--config", str(path), "--out", str(tmp_path / "runs")]) == 2
+    assert "error: start point for problem quadratic_saddle:2 must be finite" in capsys.readouterr().err
+    assert calls == []
     assert not (tmp_path / "runs").exists()

@@ -1,9 +1,8 @@
-"""Oracles, value functions, and certificate estimation."""
+"""Oracles, value functions, certificates, and what importing the package loads."""
 
 import os
 import subprocess
 import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -14,15 +13,12 @@ from holderopt import (
     MinMaxProblem,
     SmoothObjective,
     ValueFunctionView,
-    estimate_holder_constants,
     finite_diff_gradient,
     get_problem,
     make_quadratic_minmin,
     make_quadratic_saddle,
     make_sqrt_problem,
 )
-from holderopt import problems as problems_module
-from holderopt.problems import _ENVELOPE_BINS, _envelope, _pair_distances
 
 ALL_PROBLEMS = [
     make_sqrt_problem,
@@ -228,123 +224,6 @@ def test_registry_ids():
         get_problem("quadratic_saddle:")
 
 
-def test_estimate_constants_on_quadratic():
-    """A Lipschitz gradient comes back as nu ~ 1 with beta just above the true 1."""
-    obj = SmoothObjective(1, lambda x: (0.5 * x[0] ** 2, np.array([x[0]])))
-    for seed in (0, 1, 2):
-        cert = estimate_holder_constants(obj, [(-1.0, 1.0)], samples=512, seed=seed)
-        assert 0.95 <= cert.nu <= 1.0
-        assert 1.0 <= cert.beta <= 1.1
-        assert cert.global_flag is False
-
-
-def test_estimate_constants_on_sqrt_value_function():
-    """The sqrt corner needs dense sampling; the fitted exponent lands near 1/2."""
-    view = ValueFunctionView(make_sqrt_problem())
-    for seed in (0, 1):
-        cert = estimate_holder_constants(view, [(0.0, 1.0)], samples=4096, seed=seed)
-        assert 0.45 <= cert.nu <= 0.55
-
-
-def test_estimate_constants_peak_memory_in_pair_arrays():
-    """The fit works on masks over the two pair-distance arrays, not on copies of
-    them: the traced peak stays under 6.5 arrays of one float per pair."""
-    import tracemalloc
-
-    samples = 2048
-    pair_array = 8 * samples * (samples - 1) // 2
-    view = ValueFunctionView(make_sqrt_problem())
-    tracemalloc.start()
-    try:
-        estimate_holder_constants(view, [(0.0, 1.0)], samples=samples, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6.5 * pair_array
-
-
-def scan_envelope(u, v):
-    """The envelope as one scan of all pairs per bin, the way it was first written."""
-    env_u, env_v = [], []
-    edges = np.linspace(u.min(), u.max() + 1e-12, _ENVELOPE_BINS + 1)
-    which = np.digitize(u, edges)
-    for b in range(1, _ENVELOPE_BINS + 1):
-        members = np.flatnonzero(which == b)
-        if members.size == 0:
-            continue
-        top = members[np.argmax(v[members])]
-        env_u.append(u[top])
-        env_v.append(v[top])
-    return np.asarray(env_u), np.asarray(env_v)
-
-
-@pytest.mark.parametrize("block", [7, 2**16])
-def test_envelope_takes_each_bins_first_maximum(monkeypatch, block):
-    """Ties in v, also across blocks, empty bins and a bin of one pair: the
-    same points as the scan."""
-    monkeypatch.setattr(problems_module, "_ENVELOPE_BLOCK", block)
-    rng = np.random.default_rng(12)
-    u = np.concatenate((rng.random(500), [3.0]))
-    v = rng.integers(0, 4, u.size).astype(float)
-    for actual, expected in zip(_envelope(u, v), scan_envelope(u, v)):
-        np.testing.assert_array_equal(actual, expected)
-    assert _envelope(u, v)[0].size < _ENVELOPE_BINS
-
-
-@pytest.mark.parametrize(
-    "case, samples, seed",
-    [("sqrt", 4096, 0), ("sqrt", 4096, 1), ("quadratic", 512, 0), ("quadratic", 512, 1), ("quadratic", 512, 2)],
-)
-def test_envelope_in_one_pass_keeps_the_certificate(monkeypatch, case, samples, seed):
-    """beta and nu bit for bit as with one scan of the pairs per bin."""
-    if case == "sqrt":
-        obj, region = ValueFunctionView(make_sqrt_problem()), [(0.0, 1.0)]
-    else:
-        obj, region = SmoothObjective(1, lambda x: (0.5 * x[0] ** 2, np.array([x[0]]))), [(-1.0, 1.0)]
-    cert = estimate_holder_constants(obj, region, samples=samples, seed=seed)
-    monkeypatch.setattr(problems_module, "_envelope", scan_envelope)
-    assert estimate_holder_constants(obj, region, samples=samples, seed=seed) == cert
-
-
-def test_estimate_constants_certifies_pairs_exactly_for_quadratic():
-    """For f(x) = x^2/2 every pair has ratio exactly 1, so beta = 1 certifies all of them."""
-    obj = SmoothObjective(1, lambda x: (0.5 * x[0] ** 2, np.array([x[0]])))
-    cert = estimate_holder_constants(obj, [(-1.0, 1.0)], samples=256, seed=4)
-    assert cert.nu == pytest.approx(1.0, abs=1e-12)
-    assert 1.0 <= cert.beta <= 1.0 + 1e-12
-    rng = np.random.default_rng(99)
-    x = rng.uniform(-1.0, 1.0, size=400)
-    for i in range(0, 400, 2):
-        dx = abs(x[i] - x[i + 1])
-        assert dx <= cert.beta * dx**cert.nu * (1.0 + 1e-12)
-
-
-def test_estimate_constants_constant_gradient():
-    obj = SmoothObjective(2, lambda x: (3.0, np.zeros(2)))
-    cert = estimate_holder_constants(obj, [(-1.0, 1.0), (0.0, 2.0)], samples=64)
-    assert cert.beta <= 1e-12
-    assert cert.global_flag is False
-
-
-def test_estimate_constants_rejects_bad_input():
-    obj = SmoothObjective(1, lambda x: (0.5 * x[0] ** 2, np.array([x[0]])))
-    with pytest.raises(ValueError, match="volume"):
-        estimate_holder_constants(obj, [(1.0, 1.0)])
-    with pytest.raises(ValueError, match="samples"):
-        estimate_holder_constants(obj, [(-1.0, 1.0)], samples=1)
-    with pytest.raises(ValueError, match="region"):
-        estimate_holder_constants(obj, [(-1.0, 1.0), (0.0, 1.0)])
-
-
-def test_pair_distances_match_scipy_pdist():
-    from scipy.spatial.distance import pdist
-
-    rng = np.random.default_rng(5)
-    for n, d in [(4096, 1), (64, 2), (300, 5), (40, 9), (2, 3), (1, 2)]:
-        points = rng.standard_normal((n, d))
-        np.testing.assert_array_equal(_pair_distances(points), pdist(points))
-
-
 def subprocess_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(holderopt.__file__)))
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -362,26 +241,3 @@ def test_import_loads_no_network_stack():
     code = "import sys, holderopt; print([m for m in ('http.client', 'ssl', 'email', 'xml.sax') if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
-
-
-def test_estimate_constants_without_scipy():
-    """With every scipy import refused, the estimate runs and returns the same certificate."""
-    code = textwrap.dedent(
-        """
-        import sys
-
-        class NoScipy:
-            def find_spec(self, name, path=None, target=None):
-                if name.split(".")[0] == "scipy":
-                    raise ImportError(f"{name} is blocked")
-
-        sys.meta_path.insert(0, NoScipy())
-        from holderopt import ValueFunctionView, estimate_holder_constants, make_sqrt_problem
-
-        cert = estimate_holder_constants(ValueFunctionView(make_sqrt_problem()), [(0.0, 1.0)], samples=256)
-        print(repr(cert))
-        """
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, check=True)
-    cert = estimate_holder_constants(ValueFunctionView(make_sqrt_problem()), [(0.0, 1.0)], samples=256)
-    assert out.stdout.strip() == repr(cert)
