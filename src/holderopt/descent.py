@@ -233,22 +233,11 @@ def k_bound(params: BacktrackParams, cert: HolderCertificate) -> float:
     return 1.0 + max(t1, t2) / cert.nu
 
 
-_FLOAT_MAX = np.finfo(float).max
-
-
 def _checked_norm(value: float, grad: np.ndarray, iteration: int) -> float:
-    """|grad|, once ``value`` and the norm are finite, and with them every gradient entry."""
-    # np.linalg.norm's own formula, sqrt(g.g), with no errstate guard once no |g_i| is
-    # large enough for the sum of squares to overflow; a NaN entry fails this screen too
-    if (
-        grad.dtype == np.float64
-        and math.isfinite(value)
-        and np.abs(grad).max(initial=0.0) <= math.sqrt(_FLOAT_MAX / max(grad.size, 1))
-    ):
-        return math.sqrt(grad.dot(grad))
+    """|grad| of a float64 ``grad``, once ``value`` and the norm are finite, and with them every entry."""
     with np.errstate(over="ignore"):  # an overflowing norm is inf and raises below
-        grad_norm = float(np.linalg.norm(grad))
-    if not (np.isfinite(value) and np.isfinite(grad_norm)):
+        grad_norm = math.sqrt(grad.dot(grad))
+    if not (math.isfinite(value) and math.isfinite(grad_norm)):
         raise NumericError("oracle returned a non-finite value, gradient or gradient norm", iteration)
     return grad_norm
 
@@ -256,10 +245,10 @@ def _checked_norm(value: float, grad: np.ndarray, iteration: int) -> float:
 def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, frozen=False):
     """The one descent loop behind every driver; returns ``(records, status)``.
 
-    ``evaluate(x) -> (value, grad)`` is one oracle call; the first is at
-    ``x0``. Iteration n ends the run on ``stop``'s gradient tolerance or
-    iteration budget; otherwise it steps by ``step_fn(k, |grad|)`` along
-    ``-grad``. The acceptance test is one of:
+    ``evaluate(x) -> (value, grad)`` is one oracle call, ``grad`` a float64
+    array; the first is at ``x0``. Iteration n ends the run on ``stop``'s
+    gradient tolerance or iteration budget; otherwise it steps by
+    ``step_fn(k, |grad|)`` along ``-grad``. The acceptance test is one of:
 
     * none (``params is None``): the trial's evaluation is the next iterate's;
     * the ``params.delta`` decrease test on ``evaluate(trial)``, one call per

@@ -78,7 +78,8 @@ class ExperimentConfig:
     ``holder_known``; the backtracking drivers read their own ``params.gamma``.
     ``algorithm="constant:<step>"`` sets ``gamma``; any other algorithm with a
     ``:<step>`` suffix raises ValueError. ``epsilon=None`` means 0.01 times
-    the mean initial cost (resolved when the generator problem is built)."""
+    the mean initial cost (resolved when the generator problem is built).
+    Only ``heuristic_minmax`` reads ``inner``."""
 
     problem: str = "sqrt"
     algorithm: str = "backtrack_holder"
@@ -169,7 +170,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     elif algo == "heuristic_minmax":
         traj = minmax_heuristic(problem, x0, config.params, config.inner, config.stop)
     else:  # constant
-        traj = minmax_constant(problem, x0, config.gamma, config.stop, config.inner)
+        traj = minmax_constant(problem, x0, config.gamma, config.stop)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         traj.to_csv(os.path.join(out_dir, config.run_id() + ".csv"))

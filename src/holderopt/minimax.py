@@ -10,10 +10,10 @@ and returns a :class:`holderopt.descent.Trajectory` whose CSV carries
 :class:`holderopt.problems.ValueFunctionView` also uses, so
 :func:`minmax_backtrack` and :func:`holderopt.descent.backtrack_holder_gd` on
 the view run the same code on the same numbers. A non-monotone probe of
-``k - 1`` costs one extra call, or two when it fails. Without an exact
-oracle, :func:`minmax_heuristic` and :func:`minmax_constant` evaluate through
-one approximate oracle that keeps its last response: the warm start of every
-later inner solve, and the frozen response of the heuristic's test.
+``k - 1`` costs one extra call, or two when it fails. Only
+:func:`minmax_heuristic` does without the exact oracle: it evaluates through
+an approximate oracle that keeps its last response, the warm start of every
+later inner solve and the frozen response of its test.
 The loop's budget rule is the same for all: stop when the next step needs an
 oracle call and none is left. The heuristic's search needs none, so on an
 exhausted budget it takes one more step and closes on a record evaluated
@@ -22,6 +22,7 @@ with the last response.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,8 +43,8 @@ class InnerAscentBudget:
     step_size: float = 0.5
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if not (isinstance(self.steps, numbers.Integral) and self.steps >= 1):
+            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
         if not (self.step_size > 0 and np.isfinite(self.step_size)):
             raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
 
@@ -78,11 +79,12 @@ def _run(evaluate, x0, stop, step_fn, params=None, **search) -> Trajectory:
     return Trajectory(*_descend(evaluate, x0, stop, step_fn, params, **search), MINMAX_CSV_HEADER)
 
 
-def _require(problem: MinMaxProblem, sense: str, driver: str) -> None:
-    if problem.sense != sense:
+def _require(problem: MinMaxProblem, sense: Optional[str], oracle: str, driver: str) -> None:
+    """Raise ValueError unless ``problem`` has ``sense`` (either, when None) and sets ``oracle``."""
+    if sense is not None and problem.sense != sense:
         raise ValueError(f"{driver} expects a {sense} problem, got {problem.sense}")
-    if problem.best_response is None:
-        raise ValueError(f"{driver} needs an exact best_response oracle")
+    if getattr(problem, oracle) is None:
+        raise ValueError(f"{driver} needs the {oracle} oracle")
 
 
 def minmax_backtrack(
@@ -96,7 +98,7 @@ def minmax_backtrack(
     Each trial point costs one best-response call; the trial exponent is
     inherited across iterations and never decreases.
     """
-    _require(problem, "min-max", "minmax_backtrack")
+    _require(problem, "min-max", "best_response", "minmax_backtrack")
     params = params or BacktrackParams()
     step_fn = lambda k, gn: backtrack_step(k, gn, params)
     return _run(problem.value_and_grad, problem.start_point(x0), stop, step_fn, params)
@@ -114,7 +116,7 @@ def minmin_backtrack_nonmonotone(
     when the inherited step clears the stronger ``delta_plus`` threshold; every
     accepted step still satisfies the plain ``delta`` sufficient decrease.
     """
-    _require(problem, "min-min", "minmin_backtrack_nonmonotone")
+    _require(problem, "min-min", "best_response", "minmin_backtrack_nonmonotone")
     params = params or BacktrackParams()
     step_fn = lambda k, gn: backtrack_step(k, gn, params)
     return _run(problem.value_and_grad, problem.start_point(x0), stop, step_fn, params, nonmonotone=True)
@@ -127,7 +129,7 @@ def minmin_armijo_nonmonotone(
     stop: Optional[StopRule] = None,
 ) -> Trajectory:
     """As :func:`minmin_backtrack_nonmonotone` with the plain geometric step gamma * alpha**k."""
-    _require(problem, "min-min", "minmin_armijo_nonmonotone")
+    _require(problem, "min-min", "best_response", "minmin_armijo_nonmonotone")
     params = params or BacktrackParams()
     step_fn = lambda k, gn: params.gamma * params.alpha**k
     return _run(problem.value_and_grad, problem.start_point(x0), stop, step_fn, params, nonmonotone=True)
@@ -148,10 +150,7 @@ def minmax_heuristic(
     those loss evaluations are not oracle calls. The trial exponent resets to
     0 every iteration and the first trial step is exactly gamma.
     """
-    if problem.sense != "min-max":
-        raise ValueError(f"minmax_heuristic expects a min-max problem, got {problem.sense}")
-    if problem.approx_response is None:
-        raise ValueError("minmax_heuristic needs an approx_response oracle")
+    _require(problem, "min-max", "approx_response", "minmax_heuristic")
     params = params or BacktrackParams()
     step_fn = lambda k, gn: backtrack_step(k, gn, params)
     oracle = _ApproxOracle(problem, budget or InnerAscentBudget())
@@ -163,18 +162,12 @@ def minmax_constant(
     x0,
     gamma: float,
     stop: Optional[StopRule] = None,
-    budget: Optional[InnerAscentBudget] = None,
 ) -> Trajectory:
-    """Fixed-step driver: x <- x - gamma * grad_x L(x, y(x)), one oracle call per iteration.
+    """Fixed-step driver: x <- x - gamma * grad_x L(x, y*(x)), one exact oracle call per iteration.
 
-    Uses the exact best response when the problem has one, otherwise the
-    approximate oracle with ``budget``. No monotonicity guarantee.
+    Takes either sense. No monotonicity guarantee.
     """
+    _require(problem, None, "best_response", "minmax_constant")
     if not (gamma > 0 and np.isfinite(gamma)):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    x0 = problem.start_point(x0)
-    if problem.best_response is not None:
-        evaluate = problem.value_and_grad
-    else:
-        evaluate = _ApproxOracle(problem, budget or InnerAscentBudget())
-    return _run(evaluate, x0, stop, lambda k, gn: gamma)
+    return _run(problem.value_and_grad, problem.start_point(x0), stop, lambda k, gn: gamma)

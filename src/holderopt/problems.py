@@ -64,10 +64,12 @@ class MinMaxProblem:
 
     ``sense`` is "min-max" (inner argmax) or "min-min" (inner argmin). At most
     one of the oracles may be missing; ``best_response`` is exact,
-    ``approx_response(x, y_warm, budget)`` is an inexact inner solve whose
-    ``budget`` carries step count / step size / warm-start policy (see
-    :class:`holderopt.minimax.InnerAscentBudget`). ``certificate``, when
-    present, certifies the Holder smoothness of the value function's gradient.
+    ``approx_response(x, y_warm, budget)`` is an inexact inner solve started
+    from ``y_warm`` (cold when it is None) whose ``budget`` carries the step
+    count and step size (see :class:`holderopt.minimax.InnerAscentBudget`).
+    Every driver but :func:`holderopt.minimax.minmax_heuristic` needs
+    ``best_response``. ``certificate``, when present, certifies the Holder
+    smoothness of the value function's gradient.
     """
 
     dim_x: int
@@ -98,9 +100,9 @@ class MinMaxProblem:
         return x
 
     def value_and_grad(self, x) -> tuple:
-        """g(x) = L(x, y*(x)) and grad g(x) = grad_x L(x, y*(x)) from one best-response call."""
+        """g(x) = L(x, y*(x)) and grad g(x) = grad_x L(x, y*(x)), as float64, from one best-response call."""
         y = self.best_response(x)
-        return self.loss(x, y), self.grad_x(x, y)
+        return self.loss(x, y), np.asarray(self.grad_x(x, y), dtype=float)
 
 
 class ValueFunctionView(SmoothObjective):
@@ -211,17 +213,6 @@ def make_quadratic_minmin(dim: int) -> MinMaxProblem:
     def best_response(x):
         return 0.5 * np.array(x, dtype=float)
 
-    def approx_response(x, y_warm, budget):
-        y = np.zeros(dim) if y_warm is None else np.array(y_warm, dtype=float)
-        step = np.empty(dim)
-        for _ in range(budget.steps):
-            # y - s * (2 y - x) in place: the same operations, so the same bits
-            np.multiply(y, 2.0, out=step)
-            step -= x
-            step *= budget.step_size
-            y -= step
-        return y
-
     return MinMaxProblem(
         dim_x=dim,
         dim_y=dim,
@@ -229,7 +220,6 @@ def make_quadratic_minmin(dim: int) -> MinMaxProblem:
         grad_x=grad_x,
         sense="min-min",
         best_response=best_response,
-        approx_response=approx_response,
         certificate=HolderCertificate(beta=0.5, nu=1.0),
         x0_default=2.0 * np.ones(dim),
         name=f"quadratic_minmin:{dim}",

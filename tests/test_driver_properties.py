@@ -131,11 +131,10 @@ def quartic(dim):
     return MinMaxProblem(dim, dim, loss, grad_x, "min-max", best_response, approx_response, name=f"quartic:{dim}")
 
 
-# name -> problem kinds; "minmax_constant_approx" drops the exact oracle
+# name -> problem kinds
 INNER_DRIVERS = {
     "minmax_heuristic": ("sqrt", "quadratic_saddle", "quartic"),
     "minmax_constant": ("sqrt", "quadratic_saddle", "quadratic_minmin", "quartic"),
-    "minmax_constant_approx": ("sqrt", "quadratic_saddle", "quadratic_minmin", "quartic"),
 }
 
 
@@ -182,12 +181,13 @@ def test_inner_oracle_driver_invariants(name, data):
 
         return call
 
-    problem.approx_response = counted(problem.approx_response)
-    problem.best_response = None if name == "minmax_constant_approx" else counted(problem.best_response)
+    problem.best_response = counted(problem.best_response)
+    if problem.approx_response is not None:  # quadratic_minmin has none
+        problem.approx_response = counted(problem.approx_response)
     if name == "minmax_heuristic":
         traj = minmax_heuristic(problem, x0, params, budget, stop)
     else:
-        traj = minmax_constant(problem, x0, params.gamma, stop, budget)
+        traj = minmax_constant(problem, x0, params.gamma, stop)
     records = traj.records
     last = records[-1]
 

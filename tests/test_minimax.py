@@ -309,11 +309,28 @@ def test_heuristic_requires_approx_oracle():
         minmax_heuristic(prob, np.ones(2))
 
 
-def test_constant_driver_with_approx_oracle_only():
-    prob = make_quadratic_saddle(2)
+def test_constant_driver_requires_best_response():
+    prob, counts = counting(make_quadratic_saddle(2))
     prob.best_response = None
-    traj = minmax_constant(prob, np.ones(2), gamma=0.5, stop=StopRule(max_iters=30))
-    assert np.linalg.norm(traj.final_x) <= 1e-3
+    with pytest.raises(ValueError, match="best_response"):
+        minmax_constant(prob, np.ones(2), gamma=0.5)
+    assert counts["approx"] == 0
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda prob, x0: minmax_constant(prob, x0, gamma=1e-12, stop=StopRule(max_iters=1)),
+        lambda prob, x0: minmax_backtrack(prob, x0, stop=StopRule(max_iters=1)),
+    ],
+    ids=["minmax_constant", "minmax_backtrack"],
+)
+def test_integer_gradient_norm_does_not_wrap(run):
+    """An int64 gradient is taken as float64: its squares would wrap in int64 arithmetic."""
+    prob = make_quadratic_saddle(2)
+    prob.grad_x = lambda x, y: np.array([3_000_000_000, 4_000_000_000], dtype=np.int64)
+    traj = run(prob, np.ones(2))
+    assert traj.records[0].grad_norm == 5e9
 
 
 @pytest.mark.parametrize(
@@ -334,6 +351,8 @@ def test_drivers_reject_wrong_length_start(maker, run):
 def test_inner_budget_validation():
     with pytest.raises(ValueError):
         InnerAscentBudget(steps=0)
+    with pytest.raises(ValueError):
+        InnerAscentBudget(steps=2.5)
     with pytest.raises(ValueError):
         InnerAscentBudget(step_size=0.0)
 
