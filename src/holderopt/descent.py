@@ -25,6 +25,7 @@ bit for bit by construction.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -37,6 +38,12 @@ CONVERGED = "converged"
 ITER_BUDGET = "iter_budget"
 ORACLE_BUDGET = "oracle_budget"
 K_CAP_EXCEEDED = "k_cap_exceeded"
+
+
+def _require_count(field: str, value, low: int) -> None:
+    """Raise ValueError naming ``field`` unless ``value`` is an integer ``>= low``; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{field} must be an integer >= {low}, got {value!r}")
 
 
 class NumericError(RuntimeError):
@@ -84,8 +91,7 @@ class BacktrackParams:
             raise ValueError(
                 f"delta_plus must lie in (delta, 1), got {self.delta_plus} with delta={self.delta}"
             )
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
+        _require_count("k_max", self.k_max, 1)
 
 
 @dataclass
@@ -99,18 +105,19 @@ class StopRule:
     def __post_init__(self):
         if self.grad_tol < 0 or not np.isfinite(self.grad_tol):
             raise ValueError(f"grad_tol must be finite and >= 0, got {self.grad_tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.max_oracle_calls < 1:
-            raise ValueError(f"max_oracle_calls must be >= 1, got {self.max_oracle_calls}")
+        _require_count("max_iters", self.max_iters, 1)
+        _require_count("max_oracle_calls", self.max_oracle_calls, 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class TrajectoryRecord:
     """State at the start of outer iteration ``n`` plus the step that left it.
 
     The terminal record has ``step = 0.0`` (no step was taken from it).
     ``oracle_calls`` is cumulative after the iteration's step search finished.
+    ``x`` is the loop's own iterate, an array that nothing writes after it is
+    made; record 0 holds a copy of the start point, so the caller's ``x0``
+    may change afterwards.
     """
 
     n: int
@@ -172,7 +179,7 @@ class Trajectory:
     def to_csv(self, path) -> None:
         # float() first: under numpy 2 the repr of an np.float64 is "np.float64(...)"
         rows = (
-            "%d,%d,%r,%r,%r,%d" % (r.n, r.oracle_calls, float(r.f_value), float(r.grad_norm), float(r.step), r.k)
+            f"{r.n},{r.oracle_calls},{float(r.f_value)!r},{float(r.grad_norm)!r},{float(r.step)!r},{r.k}"
             for r in self.records
         )
         write_csv_atomic(path, self.csv_header, rows)
@@ -212,7 +219,7 @@ def backtrack_step(k: int, grad_norm: float, params: BacktrackParams) -> float:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if grad_norm < 0 or not np.isfinite(grad_norm):
+    if grad_norm < 0 or not math.isfinite(grad_norm):
         raise ValueError(f"grad_norm must be finite and >= 0, got {grad_norm}")
     if grad_norm >= 1.0:
         return params.alpha**k * params.gamma
@@ -233,10 +240,21 @@ def k_bound(params: BacktrackParams, cert: HolderCertificate) -> float:
     return 1.0 + max(t1, t2) / cert.nu
 
 
-def _checked_norm(value: float, grad: np.ndarray, iteration: int) -> float:
-    """|grad| of a float64 ``grad``, once ``value`` and the norm are finite, and with them every entry."""
-    with np.errstate(over="ignore"):  # an overflowing norm is inf and raises below
-        grad_norm = math.sqrt(grad.dot(grad))
+def _checked_norm(value: float, grad: np.ndarray, shape: tuple, iteration: int) -> float:
+    """|grad| of a float64 ``grad``, once its shape is the point's ``shape`` and
+    ``value`` and the norm are finite, and with them every entry.
+
+    ``np.vdot`` runs the same BLAS dot as ``grad.dot(grad)``, so the norm has
+    the same bits, but numpy checks no floating-point flag after it: an
+    overflowing norm comes back as inf, without a RuntimeWarning, and raises
+    :class:`NumericError` here with no ``np.errstate`` to enter per call. It
+    also flattens its inputs, hence the shape check first.
+    """
+    if grad.shape != shape:
+        raise ValueError(
+            f"oracle returned a gradient of shape {grad.shape} at a point of shape {shape} (iteration {iteration})"
+        )
+    grad_norm = math.sqrt(np.vdot(grad, grad))
     if not (math.isfinite(value) and math.isfinite(grad_norm)):
         raise NumericError("oracle returned a non-finite value, gradient or gradient norm", iteration)
     return grad_norm
@@ -246,9 +264,10 @@ def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, fro
     """The one descent loop behind every driver; returns ``(records, status)``.
 
     ``evaluate(x) -> (value, grad)`` is one oracle call, ``grad`` a float64
-    array; the first is at ``x0``. Iteration n ends the run on ``stop``'s
-    gradient tolerance or iteration budget; otherwise it steps by
-    ``step_fn(k, |grad|)`` along ``-grad``. The acceptance test is one of:
+    array of ``x``'s shape (another shape raises ValueError); the first is at
+    ``x0``. Iteration n ends the run on ``stop``'s gradient tolerance or
+    iteration budget; otherwise it steps by ``step_fn(k, |grad|)`` along
+    ``-grad``. The acceptance test is one of:
 
     * none (``params is None``): the trial's evaluation is the next iterate's;
     * the ``params.delta`` decrease test on ``evaluate(trial)``, one call per
@@ -269,20 +288,28 @@ def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, fro
     non-finite value, gradient or gradient norm raises :class:`NumericError`.
     """
     stop = stop or StopRule()
+    grad_tol, max_iters, max_calls = stop.grad_tol, stop.max_iters, stop.max_oracle_calls
+    if params is not None:
+        delta, delta_plus, k_max = params.delta, params.delta_plus, params.k_max
     x = np.atleast_1d(np.asarray(x0, dtype=float))
+    shape = x.shape
     value, grad = evaluate(x)
     calls = 1
-    gn = _checked_norm(value, grad, 0)
+    # records hold the iterates themselves: x may still be the caller's array,
+    # so it is copied once, and every later x is a fresh x - step * grad
+    x = np.array(x)
+    gn = _checked_norm(value, grad, shape, 0)
     records = []
+    record = records.append
     n = 0
     k = 1 if nonmonotone else 0
     while True:
         if frozen:
             k = 0
-        status = CONVERGED if gn <= stop.grad_tol else ITER_BUDGET if n >= stop.max_iters else None
+        status = CONVERGED if gn <= grad_tol else ITER_BUDGET if n >= max_iters else None
         decrement = nonmonotone and k > 0
         while status is None:
-            if not frozen and calls >= stop.max_oracle_calls:
+            if not frozen and calls >= max_calls:
                 status = ORACLE_BUDGET
                 break
             step = step_fn(k, gn)
@@ -295,35 +322,35 @@ def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, fro
             else:
                 t_value, t_grad = evaluate(trial)
                 calls += 1
-                t_gn = _checked_norm(t_value, t_grad, n)
+                t_gn = _checked_norm(t_value, t_grad, shape, n)
             if params is None:
                 break
-            if decrement and t_value < sufficient_decrease_threshold(value, params.delta_plus, step, gn):
+            if decrement and t_value < sufficient_decrease_threshold(value, delta_plus, step, gn):
                 k -= 1
                 decrement = False
                 continue
             decrement = False
-            if t_value <= sufficient_decrease_threshold(value, params.delta, step, gn):
+            if t_value <= sufficient_decrease_threshold(value, delta, step, gn):
                 break
             k += 1
-            if k > params.k_max:
+            if k > k_max:
                 status = K_CAP_EXCEEDED
 
         if status is not None:
-            records.append(TrajectoryRecord(n, calls, np.array(x), value, gn, 0.0, k))
+            record(TrajectoryRecord(n, calls, x, value, gn, 0.0, k))
             return records, status
-        records.append(TrajectoryRecord(n, calls, np.array(x), value, gn, step, k))
+        record(TrajectoryRecord(n, calls, x, value, gn, step, k))
         x = trial
         n += 1
         if not frozen:
             value, grad, gn = t_value, t_grad, t_gn
-        elif calls < stop.max_oracle_calls:
+        elif calls < max_calls:
             value, grad = evaluate(x)
             calls += 1
-            gn = _checked_norm(value, grad, n)
+            gn = _checked_norm(value, grad, shape, n)
         else:
             value, grad = evaluate.frozen(x)
-            records.append(TrajectoryRecord(n, calls, np.array(x), value, _checked_norm(value, grad, n), 0.0, 0))
+            record(TrajectoryRecord(n, calls, x, value, _checked_norm(value, grad, shape, n), 0.0, 0))
             return records, ORACLE_BUDGET
 
 

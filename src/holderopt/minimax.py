@@ -22,13 +22,12 @@ with the last response.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .descent import BacktrackParams, StopRule, Trajectory, _descend, backtrack_step
+from .descent import BacktrackParams, StopRule, Trajectory, _descend, _require_count, backtrack_step
 
 # not called here; perfbench/tracing.py patches this name on this module to time CSV writes
 from .descent import write_csv_atomic  # noqa: F401
@@ -43,8 +42,7 @@ class InnerAscentBudget:
     step_size: float = 0.5
 
     def __post_init__(self):
-        if not (isinstance(self.steps, numbers.Integral) and self.steps >= 1):
-            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
+        _require_count("steps", self.steps, 1)
         if not (self.step_size > 0 and np.isfinite(self.step_size)):
             raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
 

@@ -166,7 +166,7 @@ def make_quadratic_saddle(dim: int) -> MinMaxProblem:
         raise ValueError(f"dim must be >= 1, got {dim}")
 
     def loss(x, y):
-        return float(x @ y - 0.5 * (y @ y))
+        return float(x.dot(y)) - 0.5 * float(y.dot(y))
 
     def grad_x(x, y):
         return np.array(y, dtype=float)
@@ -177,11 +177,13 @@ def make_quadratic_saddle(dim: int) -> MinMaxProblem:
     def approx_response(x, y_warm, budget):
         y = np.zeros(dim) if y_warm is None else np.array(y_warm, dtype=float)
         step = np.empty(dim)
+        s = budget.step_size
+        subtract, multiply, add = np.subtract, np.multiply, np.add
         for _ in range(budget.steps):
             # y + s * (x - y) in place: the same three operations, so the same bits
-            np.subtract(x, y, out=step)
-            step *= budget.step_size
-            y += step
+            subtract(x, y, step)
+            multiply(step, s, step)
+            add(y, step, y)
         return y
 
     return MinMaxProblem(
@@ -205,13 +207,13 @@ def make_quadratic_minmin(dim: int) -> MinMaxProblem:
 
     def loss(x, y):
         d = x - y
-        return float(0.5 * (d @ d) + 0.5 * (y @ y))
+        return 0.5 * float(d.dot(d)) + 0.5 * float(y.dot(y))
 
     def grad_x(x, y):
         return np.array(x - y, dtype=float)
 
     def best_response(x):
-        return 0.5 * np.array(x, dtype=float)
+        return 0.5 * np.asarray(x, dtype=float)
 
     return MinMaxProblem(
         dim_x=dim,

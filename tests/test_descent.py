@@ -142,6 +142,29 @@ def test_stop_rule_validation(kwargs):
         StopRule(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda v: StopRule(max_iters=v), "max_iters"),
+        (lambda v: StopRule(max_oracle_calls=v), "max_oracle_calls"),
+        (lambda v: BacktrackParams(k_max=v), "k_max"),
+    ],
+    ids=["max_iters", "max_oracle_calls", "k_max"],
+)
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+def test_count_fields_refuse_bools_and_non_integers(make, field, value):
+    """A count of 2.5 would be spent as 3 (calls, or k before the cap), and True as 1."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
+        make(value)
+
+
+def test_count_fields_take_numpy_integers():
+    stop = StopRule(max_iters=np.int64(4), max_oracle_calls=np.int32(50))
+    traj = backtrack_holder_gd(quadratic(), [1.0], BacktrackParams(gamma=0.01, k_max=np.int64(3)), stop)
+    assert traj.terminal_status == ITER_BUDGET
+    assert len(traj) == 5
+
+
 # ------------------------------------------------------------------ drivers
 
 
@@ -247,6 +270,35 @@ def test_gradient_norm_overflow_in_a_backtracking_trial_is_a_numeric_error(call,
     with pytest.raises(NumericError) as info:
         backtrack_holder_gd(overflow_at(call), [1.0, 0.0], BacktrackParams(gamma=4.0, alpha=0.6))
     assert info.value.iteration == iteration
+
+
+@pytest.mark.parametrize(
+    "dim, grad, shape",
+    [
+        (3, lambda x: 1.0, r"\(\)"),  # a scalar stands in for every entry
+        (1, lambda x: x[0], r"\(\)"),  # a 0-d gradient at dim 1 too
+        (3, lambda x: x.reshape(3, 1), r"\(3, 1\)"),  # the same entries as a column
+    ],
+    ids=["scalar", "0-d", "column"],
+)
+def test_gradient_of_the_wrong_shape_is_refused(dim, grad, shape):
+    obj = SmoothObjective(dim, lambda x: (0.5 * float(x @ x), grad(x)))
+    message = rf"gradient of shape {shape} at a point of shape \({dim},\) \(iteration 0\)"
+    with pytest.raises(ValueError, match=message):
+        backtrack_holder_gd(obj, np.arange(1.0, dim + 1), stop=StopRule(max_iters=5))
+
+
+def test_gradient_of_the_wrong_shape_names_the_iteration():
+    """Call 5 is the trial of step 1 in the pins above; no step is taken from it."""
+    calls = [0]
+
+    def fn(x):
+        calls[0] += 1
+        return 0.5 * float(x @ x), (x[:1] if calls[0] == 5 else np.array(x))
+
+    with pytest.raises(ValueError, match=r"shape \(1,\) at a point of shape \(2,\) \(iteration 1\)"):
+        backtrack_holder_gd(SmoothObjective(2, fn), [1.0, 0.0], BacktrackParams(gamma=4.0, alpha=0.6))
+    assert calls[0] == 5
 
 
 def test_fixed_step_converges_with_small_step():

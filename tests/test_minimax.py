@@ -1,5 +1,7 @@
 """Min-max/min-min drivers, the reduction to plain descent, oracle accounting."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from holderopt import (
     StopRule,
     ValueFunctionView,
     backtrack_holder_gd,
+    holder_gd,
     make_quadratic_minmin,
     make_quadratic_saddle,
     make_sqrt_problem,
@@ -333,19 +336,31 @@ def test_integer_gradient_norm_does_not_wrap(run):
     assert traj.records[0].grad_norm == 5e9
 
 
-@pytest.mark.parametrize(
-    "maker, run",
-    [
-        (make_quadratic_saddle, minmax_backtrack),
-        (make_quadratic_minmin, minmin_backtrack_nonmonotone),
-        (make_quadratic_minmin, minmin_armijo_nonmonotone),
-        (make_quadratic_saddle, minmax_heuristic),
-        (make_quadratic_saddle, lambda prob, x0: minmax_constant(prob, x0, gamma=0.1)),
-    ],
-)
+# (problem maker, run(problem, x0)) for each min-max driver, on its defaults
+MINMAX_RUNS = [
+    (make_quadratic_saddle, minmax_backtrack),
+    (make_quadratic_minmin, minmin_backtrack_nonmonotone),
+    (make_quadratic_minmin, minmin_armijo_nonmonotone),
+    (make_quadratic_saddle, minmax_heuristic),
+    (make_quadratic_saddle, lambda prob, x0: minmax_constant(prob, x0, gamma=0.1)),
+]
+
+
+@pytest.mark.parametrize("maker, run", MINMAX_RUNS)
 def test_drivers_reject_wrong_length_start(maker, run):
     with pytest.raises(ValueError, match=r"shape \(8,\), got \(3,\)"):
         run(maker(8), np.ones(3))
+
+
+@pytest.mark.parametrize("maker, run", MINMAX_RUNS)
+def test_drivers_refuse_a_gradient_of_the_wrong_length(maker, run):
+    """From [0, 1] the gradient's first entry is 0 on both quadratics, so a run
+    that took it for the whole gradient would stop there as converged."""
+    prob = maker(2)
+    grad_x = prob.grad_x
+    prob.grad_x = lambda x, y: grad_x(x, y)[:1]
+    with pytest.raises(ValueError, match=r"gradient of shape \(1,\) at a point of shape \(2,\) \(iteration 0\)"):
+        run(prob, [0.0, 1.0])
 
 
 def test_inner_budget_validation():
@@ -353,8 +368,83 @@ def test_inner_budget_validation():
         InnerAscentBudget(steps=0)
     with pytest.raises(ValueError):
         InnerAscentBudget(steps=2.5)
+    with pytest.raises(ValueError, match="^steps must be an integer"):
+        InnerAscentBudget(steps=True)
     with pytest.raises(ValueError):
         InnerAscentBudget(step_size=0.0)
+    assert InnerAscentBudget(steps=np.int64(3)).steps == 3
+
+
+# ------------------------------------------------------------------ records
+
+
+def points_seen(problem):
+    """Wrap ``grad_x`` to keep a copy of every point it is called at: one per
+    evaluation, the heuristic's frozen ones included."""
+    points, grad_x = [], problem.grad_x
+
+    def seen(x, y):
+        points.append(np.array(x))
+        return grad_x(x, y)
+
+    problem.grad_x = seen
+    return problem, points
+
+
+def run_driver(name, prob, x0, stop):
+    """Run the driver ``name`` on ``prob``; the two plain-descent drivers run on its value function."""
+    view, holder, small = ValueFunctionView(prob), BacktrackParams(gamma=5.0), BacktrackParams(gamma=0.01)
+    runs = {
+        "holder_gd": lambda: holder_gd(view, x0, prob.certificate, 0.3, stop),
+        "backtrack_holder_gd": lambda: backtrack_holder_gd(view, x0, holder, stop),
+        "minmax_backtrack": lambda: minmax_backtrack(prob, x0, holder, stop),
+        "minmin_backtrack_nonmonotone": lambda: minmin_backtrack_nonmonotone(prob, x0, holder, stop),
+        "minmin_armijo_nonmonotone": lambda: minmin_armijo_nonmonotone(prob, x0, small, stop),
+        "minmax_constant": lambda: minmax_constant(prob, x0, 0.01, stop),
+        "minmax_heuristic": lambda: minmax_heuristic(prob, x0, BacktrackParams(gamma=0.5), stop=stop),
+    }
+    return runs[name]()
+
+
+def problem_for(name, dim):
+    return make_quadratic_minmin(dim) if name.startswith("minmin") else make_quadratic_saddle(dim)
+
+
+@pytest.mark.parametrize("name", ["holder_gd", "minmax_backtrack", "minmin_backtrack_nonmonotone", "minmax_heuristic"])
+def test_records_own_the_points_the_oracle_saw(name):
+    prob, points = points_seen(problem_for(name, 4))
+    x0 = np.array([1.0, -2.0, 0.5, 3.0])
+    traj = run_driver(name, prob, x0, StopRule(grad_tol=0.0, max_oracle_calls=12))
+    x0[:] = 99.0
+    np.testing.assert_array_equal(traj.records[0].x, [1.0, -2.0, 0.5, 3.0])
+    xs = [r.x for r in traj.records]
+    assert len(xs) >= 5
+    for i, x in enumerate(xs):
+        assert any(x.tobytes() == p.tobytes() for p in points)
+        assert not any(np.shares_memory(x, other) for other in xs[i + 1 :])
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "holder_gd",
+        "backtrack_holder_gd",
+        "minmax_backtrack",
+        "minmin_backtrack_nonmonotone",
+        "minmin_armijo_nonmonotone",
+        "minmax_constant",
+    ],
+)
+def test_record_gradient_norms_are_the_bits_of_sqrt_dot(name):
+    """Each record's norm is sqrt(g.dot(g)) of the gradient the oracle gives at its x."""
+    prob = problem_for(name, 64)
+    x0 = 8.0 * np.random.default_rng(5).standard_normal(64)
+    traj = run_driver(name, prob, x0, StopRule(grad_tol=0.0, max_oracle_calls=200))
+    assert len(traj) >= 60
+    for r in traj.records:
+        g = prob.value_and_grad(r.x)[1]
+        with np.errstate(over="ignore"):
+            assert r.grad_norm == math.sqrt(g.dot(g))
 
 
 # ---------------------------------------------------------------------- csv
