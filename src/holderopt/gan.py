@@ -4,15 +4,17 @@ The generator is a fully connected ReLU network with identity output, its
 parameters packed into one flat vector (per layer: weight matrix row-major,
 then bias). Training minimizes the entropic transport divergence between
 generated points and data points through the plan-weighted distance gradient,
-so the only expensive oracle is one Sinkhorn solve per evaluation.
+so the only expensive oracle is one Sinkhorn solve per evaluation at a new θ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
+from .descent import _require_count
 from .problems import MinMaxProblem
 from .rng import STREAM_INIT, RandomStream
 from .sinkhorn import entropic_objective, sinkhorn_solve
@@ -28,12 +30,12 @@ class MlpSpec:
     widths: tuple
 
     def __post_init__(self):
-        w = tuple(int(v) for v in self.widths)
-        object.__setattr__(self, "widths", w)
+        w = tuple(self.widths)
         if len(w) < 2:
             raise ValueError(f"need at least input and output widths, got {w}")
-        if any(v < 1 for v in w):
-            raise ValueError(f"widths must be positive, got {w}")
+        for v in w:
+            _require_count("widths", v, 1)
+        object.__setattr__(self, "widths", tuple(int(v) for v in w))
 
 
 def param_count(spec: MlpSpec) -> int:
@@ -77,7 +79,7 @@ def init_params(spec: MlpSpec, seed: int) -> np.ndarray:
 
 
 def _forward_full(spec: MlpSpec, theta, Z):
-    """Activations and pre-activations for a batch Z of shape (m, widths[0])."""
+    """Activations, pre-activations and the layer views of theta, for a batch Z of shape (m, widths[0])."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != spec.widths[0]:
         raise ValueError(f"expected a batch of input width {spec.widths[0]}, got shape {Z.shape}")
@@ -90,22 +92,20 @@ def _forward_full(spec: MlpSpec, theta, Z):
         pres.append(pre)
         A = pre if i == len(layers) - 1 else np.maximum(pre, 0.0)
         acts.append(A)
-    return acts, pres
+    return acts, pres, layers
 
 
-def _backprop(spec: MlpSpec, theta, acts, G) -> np.ndarray:
-    """Gradient in theta of <G, output>, back through the activations ``acts`` of a pass at theta."""
-    layers = _unpack(spec, theta)
-    grad = np.zeros(param_count(spec))
-    grads = _unpack(spec, grad)
+def _backprop(layers, acts, G) -> np.ndarray:
+    """Gradient in theta of <G, output>, back through the activations ``acts`` of a pass through ``layers``."""
+    # per layer, last first: bias, then weights, so the reversed list is in packing order
+    pieces = []
     for i in range(len(layers) - 1, -1, -1):
-        (W, _), (dW, db) = layers[i], grads[i]
-        dW[...] = G.T @ acts[i]
-        db[...] = G.sum(axis=0)
+        pieces.append(G.sum(axis=0))
+        pieces.append((G.T @ acts[i]).ravel())
         if i > 0:
             # a ReLU output is positive exactly where its pre-activation is
-            G = (G @ W) * (acts[i] > 0.0)
-    return grad
+            G = (G @ layers[i][0]) * (acts[i] > 0.0)
+    return np.concatenate(pieces[::-1])
 
 
 def mlp_forward(spec: MlpSpec, theta, z) -> np.ndarray:
@@ -119,11 +119,11 @@ def mlp_backward(spec: MlpSpec, theta, z, upstream) -> np.ndarray:
     ``upstream`` matches the output shape. ReLU contributes zero derivative at
     exactly zero pre-activation.
     """
-    acts = _forward_full(spec, theta, z)[0]
+    acts, _, layers = _forward_full(spec, theta, z)
     U = np.asarray(upstream, dtype=float)
     if U.shape != acts[-1].shape:
         raise ValueError(f"upstream shape {U.shape} does not match output {acts[-1].shape}")
-    return _backprop(spec, theta, acts, U)
+    return _backprop(layers, acts, U)
 
 
 def pairwise_distances(Y, X) -> np.ndarray:
@@ -138,6 +138,22 @@ def pairwise_distances(Y, X) -> np.ndarray:
     return np.sqrt(D2)
 
 
+@dataclass(slots=True)
+class _Kept:
+    """What :class:`GanObjective` keeps at one θ: the pass and cost, then the solve, then its results."""
+
+    key: bytes  # θ's bytes, which a call must match
+    theta: np.ndarray  # a copy, which ``layers`` view
+    layers: list
+    acts: list
+    C: np.ndarray  # read-only
+    plan: Optional[np.ndarray] = None  # flat, read-only
+    dual_row: Optional[np.ndarray] = None
+    dual_col: Optional[np.ndarray] = None
+    value: Optional[float] = None  # loss and gradient at ``plan``
+    grad: Optional[np.ndarray] = None
+
+
 @dataclass
 class GanObjective:
     """Entropic transport divergence between generated and data points.
@@ -146,20 +162,43 @@ class GanObjective:
     matrix must be square because both clouds carry unit weights per point.
 
     ``best_response``, ``loss`` and ``grad_x`` are the oracles of
-    :func:`as_minmin_problem`. They share one generator forward pass per θ:
-    its activations and read-only cost C are kept in one entry keyed on the
-    bytes of θ, so ``cost(θ)`` has the same bits whatever was evaluated
-    before, and ``grad_x`` back-propagates through the kept activations.
+    :func:`as_minmin_problem`. They share what is kept at the last two
+    distinct θ, matched on their bytes (0.0 and -0.0 differ), most recent
+    first; a third θ evicts the older entry. An entry holds a θ copy, its
+    layer views, the activations of its one generator forward pass and the
+    read-only cost C, so ``cost(θ)`` has the same bits whatever was evaluated
+    before and ``grad_x`` back-propagates through the kept activations. After
+    the first solve at θ it also holds the read-only flat plan and the
+    solve's potentials, and once they are computed at that plan, the loss and
+    the gradient.
+
+    At a kept θ that has a plan, ``best_response`` returns the kept plan
+    without a solve, and ``loss`` and ``grad_x`` at that plan object return
+    the kept value and a fresh copy of the kept gradient; any other plan is
+    evaluated afresh. Two entries, because fixed steps that oscillate come
+    back: in the paper's comparison the γ = 0.05 and 0.1 baselines settle
+    into period-2 cycles, and 192 of the three baselines' 900 calls return
+    to the θ of two calls before, none to the θ just before. (Re-solving
+    there, from another warm start, moved last bits and broke some cycles:
+    179 returns of 900 at seed 0.)
+
+    ``loss`` at a solve's own plan is ``sum_i u_i r_i + sum_j v_j c_j`` from
+    the solve's potentials ``u, v`` and the plan's row and column sums
+    ``r, c``: since ``eps log P_ij = u_i + v_j - C_ij``, that is
+    ``<P, C> + eps sum P log P`` without an n x n log. Any other plan goes
+    through :func:`holderopt.sinkhorn.entropic_objective`.
 
     Each Sinkhorn solve starts from the column potential of the last solve
-    that returned (gauge ``V[-1] = 0``), since consecutive calls of a step
-    search come at nearby θ; the first solve starts from zero. Results
-    therefore depend on the calls made before, under a two-part contract:
+    that ran (gauge ``V[-1] = 0``), since consecutive calls of a step search
+    come at nearby θ; the first solve starts from zero. Results therefore
+    depend on the calls made before, under a three-part contract:
 
     * the same sequence of calls gives the same bits, so reruns write the
       same trajectories;
     * every plan is a solve certified to ``sinkhorn_tol``: within that
-      tolerance of a tightly converged solve started from zero.
+      tolerance of a tightly converged solve started from zero;
+    * a call at one of the last two θ returns what the first call there
+      returned.
 
     ``dataclasses.replace`` makes a copy with nothing kept, which starts cold.
     """
@@ -186,47 +225,72 @@ class GanObjective:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not (self.sinkhorn_tol > 0 and np.isfinite(self.sinkhorn_tol)):
             raise ValueError(f"sinkhorn_tol must be positive and finite, got {self.sinkhorn_tol}")
-        self._kept = None
+        self._kept = []
         self._dual_col = None
 
-    def _generated(self, theta):
-        """(θ copy, activations, C) at θ, computed once per distinct θ (bitwise; 0.0 and -0.0 differ)."""
+    def _entry(self, theta) -> _Kept:
+        """The kept entry at θ, moved to the front; made, evicting the older of two, at a new θ."""
         theta = np.asarray(theta, dtype=float)
+        key = theta.tobytes()
         kept = self._kept
-        if kept is None or kept[0].shape != theta.shape or kept[0].tobytes() != theta.tobytes():
-            acts = _forward_full(self.spec, theta, self.latents)[0]
-            C = pairwise_distances(acts[-1], self.data)
-            acts[-1].flags.writeable = C.flags.writeable = False
-            self._kept = kept = (theta.copy(), acts, C)
-        return kept
+        for i, entry in enumerate(kept):
+            if entry.key == key and entry.theta.shape == theta.shape:
+                if i:
+                    kept.insert(0, kept.pop(i))
+                return entry
+        theta = theta.copy()
+        acts, _, layers = _forward_full(self.spec, theta, self.latents)
+        C = pairwise_distances(acts[-1], self.data)
+        acts[-1].flags.writeable = C.flags.writeable = False
+        entry = _Kept(key, theta, layers, acts, C)
+        self._kept = [entry, *kept[:1]]
+        return entry
 
     def cost(self, theta) -> np.ndarray:
         """The read-only cost matrix C(θ)[i, j] = |G(z_i; θ) - x_j|."""
-        return self._generated(theta)[2]
+        return self._entry(theta).C
 
     def best_response(self, theta) -> np.ndarray:
-        """The flat optimal plan at θ from one Sinkhorn solve, started from the last one's."""
-        result = sinkhorn_solve(self.cost(theta), self.epsilon, tol=self.sinkhorn_tol, dual_col=self._dual_col)
-        self._dual_col = result.dual_col - result.dual_col[-1]
-        return result.plan.ravel()
+        """The read-only flat optimal plan at θ: the kept one, or one Sinkhorn solve started from the last one's."""
+        entry = self._entry(theta)
+        if entry.plan is None:
+            result = sinkhorn_solve(entry.C, self.epsilon, tol=self.sinkhorn_tol, dual_col=self._dual_col)
+            self._dual_col = result.dual_col - result.dual_col[-1]
+            result.plan.flags.writeable = False
+            entry.plan, entry.dual_row, entry.dual_col = result.plan.ravel(), result.dual_row, result.dual_col
+        return entry.plan
 
     def loss(self, theta, p) -> float:
-        n = self.data.shape[0]
-        return entropic_objective(p.reshape(n, n), self.cost(theta), self.epsilon)
+        """<P, C(θ)> + eps sum P log P at a flat plan p, from the potentials when p is the solve's own plan."""
+        entry = self._entry(theta)
+        if p is not entry.plan:
+            return entropic_objective(p.reshape(entry.C.shape), entry.C, self.epsilon)
+        if entry.value is None:
+            P = p.reshape(entry.C.shape)
+            entry.value = float(entry.dual_row.dot(P.sum(axis=1)) + entry.dual_col.dot(P.sum(axis=0)))
+        return entry.value
 
     def grad_x(self, theta, p) -> np.ndarray:
         """d/dθ of <P, C(θ)> at a fixed flat plan p (unit-vector chain rule)."""
-        theta, acts, C = self._generated(theta)
+        entry = self._entry(theta)
+        if p is entry.plan and entry.grad is not None:
+            return entry.grad.copy()
+        C = entry.C
         W = p.reshape(C.shape) / np.where(C < _DIST_FLOOR, np.inf, C)
-        upstream = acts[-1] * W.sum(axis=1)[:, None] - W @ self.data
-        return _backprop(self.spec, theta, acts, upstream)
+        upstream = entry.acts[-1] * W.sum(axis=1)[:, None] - W @ self.data
+        grad = _backprop(entry.layers, entry.acts, upstream)
+        if p is not entry.plan:
+            return grad
+        entry.grad = grad
+        return grad.copy()
 
 
 def as_minmin_problem(gan: GanObjective) -> MinMaxProblem:
     """The fitting problem as a min-min coupling: inner variable is the flat plan.
 
-    ``best_response`` runs one Sinkhorn solve; the drivers in
-    :mod:`holderopt.minimax` count each such call as one oracle unit.
+    ``best_response`` runs one Sinkhorn solve, or returns the plan kept at one
+    of the last two θ; the drivers in :mod:`holderopt.minimax` count each
+    such call as one oracle unit.
     """
     n = gan.data.shape[0]
     return MinMaxProblem(

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import problems as _problems
-from .descent import BacktrackParams, StopRule, holder_gd
+from .descent import BacktrackParams, StopRule, _require_count, holder_gd
 from .gan import GanObjective, MlpSpec, as_minmin_problem, init_params, mlp_forward, pairwise_distances
 from .minimax import (
     InnerAscentBudget,
@@ -110,8 +110,7 @@ class ExperimentConfig:
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= int(seed) < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if self.sample_size < 1:
-            raise ValueError(f"sample_size must be >= 1, got {self.sample_size}")
+        _require_count("sample_size", self.sample_size, 1)
         if self.epsilon is not None and not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.x0 is not None:

@@ -210,7 +210,7 @@ def make_quadratic_minmin(dim: int) -> MinMaxProblem:
         return 0.5 * float(d.dot(d)) + 0.5 * float(y.dot(y))
 
     def grad_x(x, y):
-        return np.array(x - y, dtype=float)
+        return x - y
 
     def best_response(x):
         return 0.5 * np.asarray(x, dtype=float)

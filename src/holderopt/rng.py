@@ -18,6 +18,8 @@ consumer never perturbs another.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 STREAM_DATA = 0
@@ -31,13 +33,13 @@ class RandomStream:
     """Sequential uniform/normal draws from one keyed Philox stream."""
 
     def __init__(self, seed: int, stream: int):
-        if not 0 <= int(seed) < _U64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-        if not 0 <= int(stream) < _U64:
-            raise ValueError(f"stream id must be an unsigned 64-bit integer, got {stream}")
+        # a bool or a float would key the stream of its int() under another name
+        for name, value in (("seed", seed), ("stream id", stream)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= int(value) < _U64:
+                raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
         self.seed = int(seed)
         self.stream = int(stream)
-        self._bitgen = np.random.Philox(key=(int(stream) << 64) | int(seed))
+        self._bitgen = np.random.Philox(key=(self.stream << 64) | self.seed)
 
     def words(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit words."""

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .descent import _require_count
+
 
 class SinkhornError(RuntimeError):
     """Raised when the scaling iterations do not reach the marginal tolerance."""
@@ -84,9 +86,11 @@ def _check_cost(cost) -> np.ndarray:
     C = np.asarray(cost, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] < 1:
         raise ValueError(f"cost must be a square matrix, got shape {C.shape}")
-    if not np.all(np.isfinite(C)):
+    # NaN propagates through min and max, so the finite check sees it first
+    low, high = float(C.min()), float(C.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise ValueError("cost entries must be finite")
-    if np.any(C < 0):
+    if low < 0:
         raise ValueError("cost entries must be nonnegative")
     return C
 
@@ -120,6 +124,18 @@ def _kernel(U, V, C, epsilon, work) -> np.ndarray:
     work -= C
     work /= epsilon
     return np.exp(work, out=work)
+
+
+def _start_kernel(work) -> np.ndarray:
+    """K for the row potentials U that a row half sweep just returned, formed in ``work``.
+
+    The half sweep leaves exp((V_j - C_ij) / eps - m_i) in ``work``, with m_i
+    its row maxima, and U_i = -eps (m_i + log s_i) for its row sums s_i, so the
+    rows divided by their sums are exp((U_i + V_j - C_ij) / eps) without a
+    second exp.
+    """
+    work /= work.sum(axis=1, keepdims=True)
+    return work
 
 
 def _newton_row_scaling(K) -> np.ndarray | None:
@@ -199,12 +215,14 @@ def sinkhorn_solve(
     of shape ``(n,)``, for example the ``dual_col`` of a solve of a nearby
     cost; ``None`` starts from ``V = 0``. The first row update is the exact
     one for that ``V``, so a start that is already optimal stops after one
-    iteration. The start changes how many iterations a solve takes and the
-    last bits of its plan, never its tolerance.
+    iteration, and the start's kernel is that update's own exps divided by
+    their row sums (:func:`_start_kernel`), not a second exp. The start
+    changes how many iterations a solve takes and the last bits of its plan,
+    never its tolerance.
 
     One iteration obtains a row scaling, then makes the exact column update
     for it, then records the dual objective and tests the marginals.
-    ``max_sweeps`` bounds the number of iterations. Raises
+    ``max_sweeps``, an integer >= 1, bounds the number of iterations. Raises
     :class:`SinkhornError` if the tolerance is not reached within
     ``max_sweeps``, or if the arithmetic overflows, as it does for an
     ``epsilon`` far below the cost's scale.
@@ -232,7 +250,7 @@ def sinkhorn_solve(
     A column update whose ``b`` would leave ``exp(+-_MAX_LOG_SCALING)``, for
     example where a column of ``K`` underflowed, runs its column and row
     updates in the log domain instead and absorbs them: they become the new
-    ``U, V``, ``K`` is rebuilt from them, ``b = 1`` and
+    ``U, V``, ``K`` is rebuilt from the row update's exps, ``b = 1`` and
     ``a = exp((u - U) / eps)`` keeps the row potentials ``u`` (Schmitzer,
     "Stabilized sparse scaling algorithms for entropy regularized transport
     problems", SIAM J. Sci. Comput. 41(3), 2019). Every iteration then shares
@@ -244,8 +262,7 @@ def sinkhorn_solve(
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not (tol > 0 and np.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    _require_count("max_sweeps", max_sweeps, 1)
     n = C.shape[0]
     if dual_col is None:
         V = np.zeros(n)
@@ -265,7 +282,7 @@ def sinkhorn_solve(
         # overflow, division by zero or an invalid value ends the solve; underflow is expected
         with np.errstate(all="raise", under="ignore"):
             U = _half_sweep(V[None, :], C, epsilon, work, axis=1)
-            K = _kernel(U, V, C, epsilon, work)
+            K = _start_kernel(work)
             base = U.sum() + V.sum()
             a, la = np.ones(n), np.zeros(n)
             for sweep in range(1, max_sweeps + 1):
@@ -278,7 +295,7 @@ def sinkhorn_solve(
                     u = U + epsilon * la
                     V = _half_sweep(u[:, None], C, epsilon, work, axis=0)
                     U = _half_sweep(V[None, :], C, epsilon, work, axis=1)
-                    K = _kernel(U, V, C, epsilon, work)
+                    K = _start_kernel(work)
                     base = U.sum() + V.sum()
                     la = (u - U) / epsilon
                     a, b, lb = np.exp(la), np.ones(n), np.zeros(n)

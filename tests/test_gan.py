@@ -10,14 +10,18 @@ from holderopt import (
     MlpSpec,
     ValueFunctionView,
     as_minmin_problem,
+    entropic_objective,
     init_params,
     mlp_backward,
     mlp_forward,
     pairwise_distances,
     param_count,
+    sample_data,
+    sample_latents,
     sinkhorn_divergence,
     sinkhorn_solve,
 )
+from holderopt.harness import GENERATOR_WIDTHS
 from test_sinkhorn import REF_TOL, assert_matches_reference, reference_solve
 
 
@@ -38,6 +42,19 @@ def test_spec_validation():
         MlpSpec((3,))
     with pytest.raises(ValueError):
         MlpSpec((2, 0, 1))
+
+
+@pytest.mark.parametrize("width", [8.7, 8.0, True, np.float64(8.0)])
+def test_widths_must_be_integers(width):
+    """A float width would build the layer of its truncation."""
+    with pytest.raises(ValueError, match="widths"):
+        MlpSpec((2, width, 2))
+
+
+def test_numpy_integer_widths_are_plain_ints():
+    spec = MlpSpec((np.int64(2), np.uint8(8), 2))
+    assert spec.widths == (2, 8, 2)
+    assert all(type(w) is int for w in spec.widths)
 
 
 def test_forward_affine_single_layer():
@@ -228,14 +245,11 @@ def test_minmin_problem_wiring():
     assert prob.loss(theta, p) == pytest.approx(transport_divergence(gan, theta), abs=1e-9)
 
 
-def test_one_oracle_call_evaluates_the_generator_once(monkeypatch):
-    """One forward pass and one distance matrix per oracle call; the gradient
-    back-propagates through the kept pass, so the public passes never run."""
+def count_calls(monkeypatch, *names):
+    """Count the calls the generator module makes of each named function."""
     import holderopt.gan
 
-    gan = make_small_gan()
-    theta = init_params(gan.spec, seed=3)
-    calls = {"_forward_full": 0, "pairwise_distances": 0, "mlp_forward": 0, "mlp_backward": 0}
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -244,8 +258,17 @@ def test_one_oracle_call_evaluates_the_generator_once(monkeypatch):
 
         return counted
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(holderopt.gan, name, counting(name, getattr(holderopt.gan, name)))
+    return calls
+
+
+def test_one_oracle_call_evaluates_the_generator_once(monkeypatch):
+    """One forward pass and one distance matrix per oracle call; the gradient
+    back-propagates through the kept pass, so the public passes never run."""
+    gan = make_small_gan()
+    theta = init_params(gan.spec, seed=3)
+    calls = count_calls(monkeypatch, "_forward_full", "pairwise_distances", "mlp_forward", "mlp_backward")
     ValueFunctionView(as_minmin_problem(gan)).eval(theta)
     assert calls == {"_forward_full": 1, "pairwise_distances": 1, "mlp_forward": 0, "mlp_backward": 0}
 
@@ -344,3 +367,72 @@ def test_cost_is_read_only():
     C = gan.cost(init_params(gan.spec, seed=3))
     with pytest.raises(ValueError):
         C[0, 0] = 1.0
+
+
+def paper_gan():
+    """The generator instance of acceptance test 08, at its start θ."""
+    spec = MlpSpec(GENERATOR_WIDTHS)
+    gan = GanObjective(spec, sample_latents(64, 0), sample_data(64, 0), epsilon=0.2, sinkhorn_tol=1e-7)
+    return gan, init_params(spec, 0)
+
+
+def test_a_return_to_the_theta_of_two_calls_before_runs_no_work(monkeypatch):
+    """θa, θb, θa, as a fixed step in a period-2 cycle makes them: the third call
+    solves nothing and runs no pass, returns the first call's bits and leaves
+    the warm start where θb's solve put it."""
+    gan, theta_a = paper_gan()
+    problem = as_minmin_problem(gan)
+    first = problem.value_and_grad(theta_a)
+    problem.value_and_grad(theta_a - 0.05 * first[1])
+    dual_col = gan._dual_col
+    calls = count_calls(monkeypatch, "sinkhorn_solve", "_forward_full")
+    value, grad = problem.value_and_grad(theta_a.copy())
+    assert calls == {"sinkhorn_solve": 0, "_forward_full": 0}
+    assert np.float64(value).tobytes() == np.float64(first[0]).tobytes()
+    assert grad.tobytes() == first[1].tobytes()
+    assert gan._dual_col is dual_col
+
+
+def test_a_third_theta_evicts_the_older_entry(monkeypatch):
+    gan, theta_a = paper_gan()
+    direction = init_params(gan.spec, 1)
+    theta_b, theta_c = theta_a + 0.01 * direction, theta_a + 0.02 * direction
+    calls = count_calls(monkeypatch, "sinkhorn_solve")
+    for theta in (theta_a, theta_b, theta_c, theta_a):
+        ValueFunctionView(as_minmin_problem(gan)).eval(theta)
+    assert calls == {"sinkhorn_solve": 4}
+
+
+def test_a_kept_gradient_is_returned_as_a_fresh_array():
+    gan, theta = paper_gan()
+    problem = as_minmin_problem(gan)
+    first = problem.value_and_grad(theta)[1].copy()
+    hit = problem.value_and_grad(theta)[1]
+    hit += 1.0
+    assert problem.value_and_grad(theta)[1].tobytes() == first.tobytes()
+
+
+def test_loss_at_the_solves_own_plan_comes_from_its_potentials():
+    """At the returned plan object the loss is the potentials' sum, within
+    rounding of the entropic objective; any other plan, a copy included, is
+    the entropic objective itself. Both at eps 0.2 and at the command line's
+    default eps, 0.01 times the mean initial cost."""
+    gan, theta = paper_gan()
+    for eps in (0.2, 0.01 * float(gan.cost(theta).mean())):
+        other = dataclasses.replace(gan, epsilon=eps, sinkhorn_tol=1e-9)
+        p = other.best_response(theta)
+        C = other.cost(theta)
+        exact = entropic_objective(p.reshape(C.shape), C, eps)
+        assert other.loss(theta, p) == pytest.approx(exact, rel=1e-12, abs=0.0)
+        perturbed = p * (1.0 + 0.01 * np.sin(np.arange(p.size)))
+        for q in (p.copy(), perturbed):
+            expected = entropic_objective(q.reshape(C.shape), C, eps)
+            assert np.float64(other.loss(theta, q)).tobytes() == np.float64(expected).tobytes()
+
+
+def test_a_kept_plan_is_read_only():
+    gan, theta = paper_gan()
+    p = gan.best_response(theta)
+    assert gan.best_response(theta) is p
+    with pytest.raises(ValueError):
+        p[0] = 1.0

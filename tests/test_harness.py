@@ -28,6 +28,7 @@ from holderopt.harness import (
     config_from_values,
     parse_config_text,
 )
+from holderopt.rng import RandomStream
 
 # ----------------------------------------------------------------- sampling
 
@@ -104,6 +105,34 @@ def test_seed_must_be_an_integer(seed):
 def test_numpy_integer_seed_is_accepted():
     cfg = ExperimentConfig(problem="sinkhorn_gan", seed=np.uint64(3))
     assert cfg.run_id() == "sinkhorn_gan_backtrack_holder_seed3"
+
+
+@pytest.mark.parametrize("size", [2.5, 4.0, True, np.float64(4.0)])
+def test_sample_size_must_be_an_integer(size):
+    """A float or a bool would fail late, inside the sampling, or sample its int()."""
+    with pytest.raises(ValueError, match="sample_size"):
+        ExperimentConfig(problem="sinkhorn_gan", algorithm="constant:0.01", sample_size=size)
+
+
+def test_numpy_integer_sample_size_is_accepted():
+    cfg = ExperimentConfig(problem="sinkhorn_gan", sample_size=np.int64(4))
+    assert build_problem(cfg)[0].dim_y == 16
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, np.float64(1.0), np.bool_(True)])
+def test_random_streams_take_integer_seeds_only(seed):
+    """The streams would otherwise key on int(seed): 1.5 and True drew seed 1's numbers."""
+    with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+        sample_data(4, seed)
+    with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+        init_params(MlpSpec((2, 3, 2)), seed)
+    with pytest.raises(ValueError, match="stream id must be an unsigned 64-bit integer"):
+        RandomStream(0, seed)
+
+
+def test_random_streams_accept_numpy_integers():
+    np.testing.assert_array_equal(sample_data(4, np.uint64(1)), sample_data(4, 1))
+    np.testing.assert_array_equal(RandomStream(np.int64(2), np.uint8(1)).words(3), RandomStream(2, 1).words(3))
 
 
 def test_parse_config_text():

@@ -124,6 +124,31 @@ def test_cost_validation():
         sinkhorn_solve(SWAP2, epsilon=0.1, max_sweeps=0)
 
 
+@pytest.mark.parametrize(
+    "cost",
+    [
+        [[np.nan, -1.0], [0.0, 0.0]],
+        [[-1.0, 0.0], [0.0, np.nan]],
+        [[0.0, -np.inf], [0.0, 0.0]],
+        [[0.0, np.inf], [-1.0, 0.0]],
+    ],
+)
+def test_a_nonfinite_cost_is_reported_before_a_negative_one(cost):
+    with pytest.raises(ValueError, match="finite"):
+        sinkhorn_solve(cost, epsilon=0.1)
+
+
+@pytest.mark.parametrize("max_sweeps", [2.5, 3.0, True])
+def test_max_sweeps_must_be_an_integer(max_sweeps):
+    """2.5 failed inside range() and True ran one iteration."""
+    with pytest.raises(ValueError, match="max_sweeps"):
+        sinkhorn_solve(SWAP2, epsilon=0.1, max_sweeps=max_sweeps)
+
+
+def test_numpy_integer_max_sweeps_is_accepted():
+    assert sinkhorn_solve(SWAP2, epsilon=0.1, max_sweeps=np.int64(50)).sweeps <= 50
+
+
 def test_sweep_budget_error_carries_marginal_error():
     rng = np.random.default_rng(5)
     C = rng.random((6, 6)) * 4.0
