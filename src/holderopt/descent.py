@@ -25,25 +25,18 @@ bit for bit by construction.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .problems import HolderCertificate, SmoothObjective
+from .problems import HolderCertificate, SmoothObjective, _require_count, _require_positive
 
 CONVERGED = "converged"
 ITER_BUDGET = "iter_budget"
 ORACLE_BUDGET = "oracle_budget"
 K_CAP_EXCEEDED = "k_cap_exceeded"
-
-
-def _require_count(field: str, value, low: int) -> None:
-    """Raise ValueError naming ``field`` unless ``value`` is an integer ``>= low``; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{field} must be an integer >= {low}, got {value!r}")
 
 
 class NumericError(RuntimeError):
@@ -79,14 +72,12 @@ class BacktrackParams:
     k_max: int = 64
 
     def __post_init__(self):
-        if not (self.gamma > 0 and np.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        _require_positive("gamma", self.gamma)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not (self.rho > 0 and np.isfinite(self.rho)):
-            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        _require_positive("rho", self.rho)
         if not self.delta < self.delta_plus < 1.0:
             raise ValueError(
                 f"delta_plus must lie in (delta, 1), got {self.delta_plus} with delta={self.delta}"

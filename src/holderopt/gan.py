@@ -14,8 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .descent import _require_count
-from .problems import MinMaxProblem
+from .problems import MinMaxProblem, _require_count, _require_positive
 from .rng import STREAM_INIT, RandomStream
 from .sinkhorn import entropic_objective, sinkhorn_solve
 
@@ -221,10 +220,8 @@ class GanObjective:
                 f"need equally many latents and data points, got {self.latents.shape[0]} "
                 f"and {self.data.shape[0]}"
             )
-        if not (self.epsilon > 0 and np.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not (self.sinkhorn_tol > 0 and np.isfinite(self.sinkhorn_tol)):
-            raise ValueError(f"sinkhorn_tol must be positive and finite, got {self.sinkhorn_tol}")
+        _require_positive("epsilon", self.epsilon)
+        _require_positive("sinkhorn_tol", self.sinkhorn_tol)
         self._kept = []
         self._dual_col = None
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import problems as _problems
-from .descent import BacktrackParams, StopRule, _require_count, holder_gd
+from .descent import BacktrackParams, StopRule, holder_gd
 from .gan import GanObjective, MlpSpec, as_minmin_problem, init_params, mlp_forward, pairwise_distances
 from .minimax import (
     InnerAscentBudget,
@@ -29,7 +29,7 @@ from .minimax import (
     minmin_backtrack_nonmonotone,
 )
 from .plotting import render_comparison, write_svg
-from .problems import ValueFunctionView
+from .problems import ValueFunctionView, _require_count, _require_positive
 from .rng import STREAM_DATA, STREAM_LATENT, RandomStream
 
 ALGORITHMS = (
@@ -111,8 +111,9 @@ class ExperimentConfig:
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= int(seed) < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         _require_count("sample_size", self.sample_size, 1)
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if self.epsilon is not None:
+            _require_positive("epsilon", self.epsilon)
+        _require_positive("sinkhorn_tol", self.sinkhorn_tol)
         if self.x0 is not None:
             self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
 

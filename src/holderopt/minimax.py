@@ -27,11 +27,11 @@ from typing import Optional
 
 import numpy as np
 
-from .descent import BacktrackParams, StopRule, Trajectory, _descend, _require_count, backtrack_step
+from .descent import BacktrackParams, StopRule, Trajectory, _descend, backtrack_step
 
 # not called here; perfbench/tracing.py patches this name on this module to time CSV writes
 from .descent import write_csv_atomic  # noqa: F401
-from .problems import MinMaxProblem
+from .problems import MinMaxProblem, _require_count, _require_positive
 
 
 @dataclass
@@ -43,8 +43,7 @@ class InnerAscentBudget:
 
     def __post_init__(self):
         _require_count("steps", self.steps, 1)
-        if not (self.step_size > 0 and np.isfinite(self.step_size)):
-            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
+        _require_positive("step_size", self.step_size)
 
 
 MINMAX_CSV_HEADER = "n,oracle_calls,L,grad_x_norm,step,k"
@@ -166,6 +165,5 @@ def minmax_constant(
     Takes either sense. No monotonicity guarantee.
     """
     _require(problem, None, "best_response", "minmax_constant")
-    if not (gamma > 0 and np.isfinite(gamma)):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _require_positive("gamma", gamma)
     return _run(problem.value_and_grad, problem.start_point(x0), stop, lambda k, gn: gamma)

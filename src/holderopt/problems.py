@@ -9,12 +9,26 @@ former through the envelope identity ``grad g(x) = grad_x L(x, y*(x))``.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 Array = np.ndarray
+
+
+def _require_count(field: str, value, low: int) -> None:
+    """Raise ValueError naming ``field`` unless ``value`` is an integer ``>= low``; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{field} must be an integer >= {low}, got {value!r}")
+
+
+def _require_positive(field: str, value) -> None:
+    """Raise ValueError naming ``field`` unless ``value`` is positive and finite; NaN is not."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{field} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -29,8 +43,7 @@ class HolderCertificate:
     nu: float
 
     def __post_init__(self):
-        if not (self.beta > 0 and np.isfinite(self.beta)):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        _require_positive("beta", self.beta)
         if not (0.0 < self.nu <= 1.0):
             raise ValueError(f"nu must lie in (0, 1], got {self.nu}")
 

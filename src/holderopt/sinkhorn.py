@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descent import _require_count
+from .problems import _require_count, _require_positive
 
 
 class SinkhornError(RuntimeError):
@@ -62,9 +62,11 @@ class TransportPlan:
 # plan entry a_i K_ij b_j whose kernel entry underflows is below e^100 * 2.3e-308
 _MAX_LOG_SCALING = 50.0
 
-# the Armijo constant and the shortest step of the Newton line search
+# the Armijo constant and the shortest step of the Newton line search; at colder eps
+# the capped start _MAX_LOG_SCALING / max|d_b| often lies below 2^-10 and still gains,
+# while a refused step costs its iteration a plain sweep
 _ARMIJO = 1e-4
-_MIN_NEWTON_STEP = 2.0**-10
+_MIN_NEWTON_STEP = 2.0**-30
 
 
 def _sweeps_before_newton(n: int) -> float:
@@ -126,18 +128,6 @@ def _kernel(U, V, C, epsilon, work) -> np.ndarray:
     return np.exp(work, out=work)
 
 
-def _start_kernel(work) -> np.ndarray:
-    """K for the row potentials U that a row half sweep just returned, formed in ``work``.
-
-    The half sweep leaves exp((V_j - C_ij) / eps - m_i) in ``work``, with m_i
-    its row maxima, and U_i = -eps (m_i + log s_i) for its row sums s_i, so the
-    rows divided by their sums are exp((U_i + V_j - C_ij) / eps) without a
-    second exp.
-    """
-    work /= work.sum(axis=1, keepdims=True)
-    return work
-
-
 def _newton_row_scaling(K) -> np.ndarray | None:
     """log a after one damped Newton column step from a = b = 1, or None.
 
@@ -166,7 +156,8 @@ def _newton_row_scaling(K) -> np.ndarray | None:
     halves until the Armijo test on psi holds. None means a row of K sums to
     at most exp(-_MAX_LOG_SCALING), the system is singular, d_b is not finite
     or not an ascent direction (as at n = 1, where no column moves), or t fell
-    below _MIN_NEWTON_STEP.
+    below _MIN_NEWTON_STEP, as the start does when max |d_b| exceeds about
+    5e10.
     """
     n = K.shape[0]
     r = K.sum(axis=1)
@@ -215,10 +206,8 @@ def sinkhorn_solve(
     of shape ``(n,)``, for example the ``dual_col`` of a solve of a nearby
     cost; ``None`` starts from ``V = 0``. The first row update is the exact
     one for that ``V``, so a start that is already optimal stops after one
-    iteration, and the start's kernel is that update's own exps divided by
-    their row sums (:func:`_start_kernel`), not a second exp. The start
-    changes how many iterations a solve takes and the last bits of its plan,
-    never its tolerance.
+    iteration. The start changes how many iterations a solve takes and the
+    last bits of its plan, never its tolerance.
 
     One iteration obtains a row scaling, then makes the exact column update
     for it, then records the dual objective and tests the marginals.
@@ -250,18 +239,17 @@ def sinkhorn_solve(
     A column update whose ``b`` would leave ``exp(+-_MAX_LOG_SCALING)``, for
     example where a column of ``K`` underflowed, runs its column and row
     updates in the log domain instead and absorbs them: they become the new
-    ``U, V``, ``K`` is rebuilt from the row update's exps, ``b = 1`` and
+    ``U, V``, ``K`` is rebuilt from ``U`` and ``V``, ``b = 1`` and
     ``a = exp((u - U) / eps)`` keeps the row potentials ``u`` (Schmitzer,
     "Stabilized sparse scaling algorithms for entropy regularized transport
-    problems", SIAM J. Sci. Comput. 41(3), 2019). Every iteration then shares
-    one computation of the row sums, the dual value, the stopping test and
-    the plan, whose two marginals are checked before it is returned.
+    problems", SIAM J. Sci. Comput. 41(3), 2019). The start, each absorb and
+    each Newton fold build ``K`` one way, :func:`_kernel`. Every iteration
+    then shares one computation of the row sums, the dual value, the stopping
+    test and the plan, whose two marginals are checked before it is returned.
     """
     C = _check_cost(cost)
-    if not (epsilon > 0 and np.isfinite(epsilon)):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if not (tol > 0 and np.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _require_positive("epsilon", epsilon)
+    _require_positive("tol", tol)
     _require_count("max_sweeps", max_sweeps, 1)
     n = C.shape[0]
     if dual_col is None:
@@ -282,7 +270,7 @@ def sinkhorn_solve(
         # overflow, division by zero or an invalid value ends the solve; underflow is expected
         with np.errstate(all="raise", under="ignore"):
             U = _half_sweep(V[None, :], C, epsilon, work, axis=1)
-            K = _start_kernel(work)
+            K = _kernel(U, V, C, epsilon, work)
             base = U.sum() + V.sum()
             a, la = np.ones(n), np.zeros(n)
             for sweep in range(1, max_sweeps + 1):
@@ -295,7 +283,7 @@ def sinkhorn_solve(
                     u = U + epsilon * la
                     V = _half_sweep(u[:, None], C, epsilon, work, axis=0)
                     U = _half_sweep(V[None, :], C, epsilon, work, axis=1)
-                    K = _start_kernel(work)
+                    K = _kernel(U, V, C, epsilon, work)
                     base = U.sum() + V.sum()
                     la = (u - U) / epsilon
                     a, b, lb = np.exp(la), np.ones(n), np.zeros(n)

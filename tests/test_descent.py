@@ -8,7 +8,10 @@ import pytest
 
 from holderopt import (
     BacktrackParams,
+    GanObjective,
     HolderCertificate,
+    InnerAscentBudget,
+    MlpSpec,
     NumericError,
     SmoothObjective,
     StopRule,
@@ -22,8 +25,10 @@ from holderopt import (
     k_bound,
     make_quadratic_minmin,
     make_sqrt_problem,
+    minmax_constant,
     minmin_armijo_nonmonotone,
     optimal_holder_gamma,
+    sinkhorn_solve,
     sufficient_decrease_threshold,
 )
 from holderopt.descent import CSV_HEADER, CONVERGED, ITER_BUDGET, K_CAP_EXCEEDED, ORACLE_BUDGET
@@ -155,6 +160,32 @@ def test_stop_rule_validation(kwargs):
 def test_count_fields_refuse_bools_and_non_integers(make, field, value):
     """A count of 2.5 would be spent as 3 (calls, or k before the cap), and True as 1."""
     with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
+        make(value)
+
+
+def _gan_objective(**fields):
+    points = np.zeros((4, 2))
+    return GanObjective(MlpSpec((2, 3, 2)), points, points, **{"epsilon": 0.2, **fields})
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda v: BacktrackParams(gamma=v), "gamma"),
+        (lambda v: BacktrackParams(rho=v), "rho"),
+        (lambda v: HolderCertificate(beta=v, nu=1.0), "beta"),
+        (lambda v: InnerAscentBudget(step_size=v), "step_size"),
+        (lambda v: minmax_constant(make_sqrt_problem(), [1.0], gamma=v), "gamma"),
+        (lambda v: _gan_objective(epsilon=v), "epsilon"),
+        (lambda v: _gan_objective(sinkhorn_tol=v), "sinkhorn_tol"),
+        (lambda v: sinkhorn_solve(np.zeros((2, 2)), v), "epsilon"),
+        (lambda v: sinkhorn_solve(np.zeros((2, 2)), 0.2, tol=v), "tol"),
+    ],
+    ids=["gamma", "rho", "beta", "step_size", "minmax_constant", "gan_epsilon", "gan_tol", "epsilon", "tol"],
+)
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+def test_positive_fields_refuse_zero_negatives_and_non_finite_values(make, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got {value}$"):
         make(value)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -94,6 +95,14 @@ def test_config_validation():
         ExperimentConfig(seed=-1)
     with pytest.raises(ValueError, match="sample_size"):
         ExperimentConfig(sample_size=0)
+
+
+@pytest.mark.parametrize("field", ["epsilon", "sinkhorn_tol"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 0.0])
+def test_transport_fields_are_refused_at_construction(field, value):
+    """Refused by name whatever the problem, before any run builds the generator."""
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got {value}$"):
+        ExperimentConfig(**{field: value})
 
 
 @pytest.mark.parametrize("seed", [1.5, 2.0, True, np.float64(3.0), np.bool_(False)])
@@ -413,6 +422,14 @@ def test_cli_wrong_length_start_exits_2(tmp_path, capsys):
     path.write_text("problem = quadratic_saddle:8\nx0 = 1,2,3\n")
     assert main(["--config", str(path), "--out", str(tmp_path / "runs")]) == 2
     assert "error: start point for problem quadratic_saddle:8 must have shape (8,)" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_infinite_epsilon_exits_2(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text("problem = sinkhorn_gan\nalgorithm = nonmonotone_holder\nepsilon = inf\n")
+    assert main(["--config", str(path), "--out", str(tmp_path / "runs")]) == 2
+    assert "error: epsilon must be positive and finite, got inf" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 

@@ -182,9 +182,10 @@ def assert_close_relative(actual, expected):
     assert np.all(np.abs(actual - expected) <= ATOL * np.maximum(1.0, np.abs(expected)))
 
 
-def assert_certified(result, C, tol):
+def assert_certified(result, C, tol, plan_atol=0.0):
     """Both marginals within tol, no fall of the dual beyond rounding, and dual
-    potentials that give the plan, P_ij = exp((dual_row_i + dual_col_j - C_ij) / eps)."""
+    potentials that give the plan, P_ij = exp((dual_row_i + dual_col_j - C_ij) / eps),
+    to 1e-12 relative plus plan_atol."""
     assert result.marginal_error <= tol
     assert np.abs(result.plan.sum(axis=0) - 1.0).max() <= tol
     assert np.abs(result.plan.sum(axis=1) - 1.0).max() <= tol
@@ -193,7 +194,7 @@ def assert_certified(result, C, tol):
     assert np.all(np.diff(duals) >= -1e-12 * np.maximum(1.0, np.abs(duals[1:])))
     potentials = result.dual_row[:, None] + result.dual_col[None, :]
     # rounding of (potentials - C) / eps reached 9e-14 relative, at C = 400 and eps = 0.2
-    np.testing.assert_allclose(np.exp((potentials - C) / result.epsilon), result.plan, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(np.exp((potentials - C) / result.epsilon), result.plan, rtol=1e-12, atol=plan_atol)
 
 
 def assert_matches_reference(result, C, reference, tol=1e-9):
@@ -360,13 +361,15 @@ def test_gaussian_clouds_converge_after_a_failed_newton_step(seed):
     assert_certified(sinkhorn_solve(C, 0.02, max_sweeps=100), C, 1e-9)
 
 
-def random_cloud_cases():
+def random_cloud_cases(seed=2026, eps_range=(0.01, 0.1)):
     """Cost and eps of each random cloud pair, in draw order: two n-point
-    standard-normal clouds, the second moved right by an offset in [0, 3)."""
-    rng = np.random.default_rng(2026)
+    standard-normal clouds, the second moved right by an offset in [0, 3),
+    with eps log-uniform in ``eps_range``."""
+    rng = np.random.default_rng(seed)
+    low, high = np.log(eps_range[0]), np.log(eps_range[1])
     while True:
         n = int(rng.integers(8, 65))
-        eps = float(np.exp(rng.uniform(np.log(0.01), np.log(0.1))))
+        eps = float(np.exp(rng.uniform(low, high)))
         off = rng.uniform(0, 3)
         x = rng.standard_normal((n, 2))
         y = rng.standard_normal((n, 2)) + [off, 0.0]
@@ -392,13 +395,42 @@ def test_random_clouds_near_a_permutation_converge(case, n, eps):
 def test_random_cloud_sweep_converges():
     """Every one of the 300 cases is certified at the default budget, in at
     most 7 876 iterations in all, the count when each Newton step kept the
-    joint step's row part; keeping its column part takes 6 357."""
+    joint step's row part; keeping its column part takes 6 357 with a Newton
+    step floor of 2^-10 and 4 376 with 2^-30."""
     total = 0
     for C, eps in itertools.islice(random_cloud_cases(), 300):
         result = sinkhorn_solve(C, eps)
         assert_certified(result, C, 1e-9)
         total += result.sweeps
     assert total <= 7876
+
+
+def cold_cloud_cases():
+    """The random clouds at colder eps, log-uniform in [0.003, 0.01]."""
+    return random_cloud_cases(seed=7, eps_range=(0.003, 0.01))
+
+
+def test_cold_cloud_case_83_converges():
+    """n = 8 at eps 0.00384, certified within 5 000 iterations (it takes 236).
+    Its marginal error stalls at 2.2e-7 unless each absorb rebuilds K from U
+    and V, so this case guards that rebuild."""
+    C, eps = next(itertools.islice(cold_cloud_cases(), 83, None))
+    assert C.shape == (8, 8) and eps == pytest.approx(0.00384, abs=5e-6)
+    assert_certified(sinkhorn_solve(C, eps, max_sweeps=5000), C, 1e-9)
+
+
+def test_cold_cloud_set_converges():
+    """Every one of the 100 cold cases is certified within 5 000 iterations,
+    in at most 18 753 in all, the count with a Newton step floor of 2^-10;
+    the floor of 2^-30 takes 10 753."""
+    # at these eps some plan entries are subnormal, and hold fewer bits than 1e-12 relative
+    plan_atol = 1e-12 * np.finfo(float).tiny
+    total = 0
+    for C, eps in itertools.islice(cold_cloud_cases(), 100):
+        result = sinkhorn_solve(C, eps, max_sweeps=5000)
+        assert_certified(result, C, 1e-9, plan_atol)
+        total += result.sweeps
+    assert total <= 18753
 
 
 def joint_newton_step(K):
