@@ -14,12 +14,11 @@ evaluation (optionally with the non-monotone ``delta_plus`` decrement), or the
 min-max heuristic's frozen-response loss. The loop builds every
 :class:`TrajectoryRecord`, assigns every terminal status and counts every
 oracle call, with one budget rule: stop when the next step needs an oracle
-call and none is left. Every driver returns a :class:`Trajectory`. The
-exact-oracle min-max and min-min drivers evaluate through
-:meth:`holderopt.problems.MinMaxProblem.value_and_grad`, and
-:class:`holderopt.problems.ValueFunctionView` evaluates through that same
-method, so plain descent on the value function and the min-max driver agree
-bit for bit by construction.
+call and none is left. Every driver returns a :class:`Trajectory`. Each checks its start once,
+with its problem's or objective's ``start_point``, and then evaluates through its
+``value_and_grad``; :func:`holderopt.minimax.minmax_heuristic` alone evaluates through an
+approximate oracle. :class:`holderopt.problems.ValueFunctionView`'s ``value_and_grad`` is the
+problem's own, so plain descent on the value function and the min-max driver agree bit for bit.
 """
 
 from __future__ import annotations
@@ -254,11 +253,11 @@ def _checked_norm(value: float, grad: np.ndarray, shape: tuple, iteration: int) 
 def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, frozen=False):
     """The one descent loop behind every driver; returns ``(records, status)``.
 
-    ``evaluate(x) -> (value, grad)`` is one oracle call, ``grad`` a float64
-    array of ``x``'s shape (another shape raises ValueError); the first is at
-    ``x0``. Iteration n ends the run on ``stop``'s gradient tolerance or
-    iteration budget; otherwise it steps by ``step_fn(k, |grad|)`` along
-    ``-grad``. The acceptance test is one of:
+    ``evaluate(x) -> (value, grad)`` is one oracle call, ``grad`` a float64 array of ``x``'s
+    shape (another shape raises ValueError); the first is at ``x0``, a fresh float vector from
+    ``start_point`` that record 0 keeps. Iteration n ends the run on ``stop``'s gradient tolerance
+    or iteration budget; otherwise it steps by ``step_fn(k, |grad|)`` along ``-grad``, to a fresh
+    array. The acceptance test is one of:
 
     * none (``params is None``): the trial's evaluation is the next iterate's;
     * the ``params.delta`` decrease test on ``evaluate(trial)``, one call per
@@ -282,13 +281,9 @@ def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, fro
     grad_tol, max_iters, max_calls = stop.grad_tol, stop.max_iters, stop.max_oracle_calls
     if params is not None:
         delta, delta_plus, k_max = params.delta, params.delta_plus, params.k_max
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    shape = x.shape
+    x, shape = x0, x0.shape
     value, grad = evaluate(x)
     calls = 1
-    # records hold the iterates themselves: x may still be the caller's array,
-    # so it is copied once, and every later x is a fresh x - step * grad
-    x = np.array(x)
     gn = _checked_norm(value, grad, shape, 0)
     records = []
     record = records.append
@@ -362,7 +357,8 @@ def holder_gd(
         gamma = optimal_holder_gamma(cert)
     # validate gamma once up front so a bad range fails before any oracle call
     holder_step(1.0, cert, gamma)
-    return Trajectory(*_descend(obj.eval, x0, stop, lambda k, gn: holder_step(gn, cert, gamma)))
+    step_fn = lambda k, gn: holder_step(gn, cert, gamma)
+    return Trajectory(*_descend(obj.value_and_grad, obj.start_point(x0), stop, step_fn))
 
 
 def backtrack_holder_gd(
@@ -375,5 +371,6 @@ def backtrack_holder_gd(
     is (iterations) + (k increments) + 1 for the initial evaluation.
     """
     params = params or BacktrackParams()
-    return Trajectory(*_descend(obj.eval, x0, stop, lambda k, gn: backtrack_step(k, gn, params), params))
+    step_fn = lambda k, gn: backtrack_step(k, gn, params)
+    return Trajectory(*_descend(obj.value_and_grad, obj.start_point(x0), stop, step_fn, params))
 

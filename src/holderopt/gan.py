@@ -139,7 +139,7 @@ def pairwise_distances(Y, X) -> np.ndarray:
 
 @dataclass(slots=True)
 class _Kept:
-    """What :class:`GanObjective` keeps at one θ: the pass and cost, then the solve, then its results."""
+    """What :class:`GanObjective` keeps at one θ: the pass and cost, then the solve's plan, loss and gradient."""
 
     key: bytes  # θ's bytes, which a call must match
     theta: np.ndarray  # a copy, which ``layers`` view
@@ -147,8 +147,6 @@ class _Kept:
     acts: list
     C: np.ndarray  # read-only
     plan: Optional[np.ndarray] = None  # flat, read-only
-    dual_row: Optional[np.ndarray] = None
-    dual_col: Optional[np.ndarray] = None
     value: Optional[float] = None  # loss and gradient at ``plan``
     grad: Optional[np.ndarray] = None
 
@@ -166,10 +164,10 @@ class GanObjective:
     first; a third θ evicts the older entry. An entry holds a θ copy, its
     layer views, the activations of its one generator forward pass and the
     read-only cost C, so ``cost(θ)`` has the same bits whatever was evaluated
-    before and ``grad_x`` back-propagates through the kept activations. After
-    the first solve at θ it also holds the read-only flat plan and the
-    solve's potentials, and once they are computed at that plan, the loss and
-    the gradient.
+    before and every gradient back-propagates through the kept activations.
+    The first solve at θ also computes the loss and the gradient at its plan,
+    since an oracle call asks for all three, and the entry holds them with
+    the read-only flat plan.
 
     At a kept θ that has a plan, ``best_response`` returns the kept plan
     without a solve, and ``loss`` and ``grad_x`` at that plan object return
@@ -253,33 +251,31 @@ class GanObjective:
         if entry.plan is None:
             result = sinkhorn_solve(entry.C, self.epsilon, tol=self.sinkhorn_tol, dual_col=self._dual_col)
             self._dual_col = result.dual_col - result.dual_col[-1]
-            result.plan.flags.writeable = False
-            entry.plan, entry.dual_row, entry.dual_col = result.plan.ravel(), result.dual_row, result.dual_col
+            P = result.plan
+            P.flags.writeable = False
+            entry.value = float(result.dual_row.dot(P.sum(axis=1)) + result.dual_col.dot(P.sum(axis=0)))
+            entry.plan, entry.grad = P.ravel(), self._gradient(entry, P)
         return entry.plan
 
     def loss(self, theta, p) -> float:
         """<P, C(θ)> + eps sum P log P at a flat plan p, from the potentials when p is the solve's own plan."""
         entry = self._entry(theta)
-        if p is not entry.plan:
-            return entropic_objective(p.reshape(entry.C.shape), entry.C, self.epsilon)
-        if entry.value is None:
-            P = p.reshape(entry.C.shape)
-            entry.value = float(entry.dual_row.dot(P.sum(axis=1)) + entry.dual_col.dot(P.sum(axis=0)))
-        return entry.value
+        if p is entry.plan:
+            return entry.value
+        return entropic_objective(p.reshape(entry.C.shape), entry.C, self.epsilon)
 
     def grad_x(self, theta, p) -> np.ndarray:
         """d/dθ of <P, C(θ)> at a fixed flat plan p (unit-vector chain rule)."""
         entry = self._entry(theta)
-        if p is entry.plan and entry.grad is not None:
+        if p is entry.plan:
             return entry.grad.copy()
-        C = entry.C
+        return self._gradient(entry, p)
+
+    def _gradient(self, entry: _Kept, p) -> np.ndarray:
+        C = entry.C  # p is a plan of C's shape, or flat
         W = p.reshape(C.shape) / np.where(C < _DIST_FLOOR, np.inf, C)
         upstream = entry.acts[-1] * W.sum(axis=1)[:, None] - W @ self.data
-        grad = _backprop(entry.layers, entry.acts, upstream)
-        if p is not entry.plan:
-            return grad
-        entry.grad = grad
-        return grad.copy()
+        return _backprop(entry.layers, entry.acts, upstream)
 
 
 def as_minmin_problem(gan: GanObjective) -> MinMaxProblem:

@@ -10,7 +10,6 @@ number of inner solves per iteration.
 
 from __future__ import annotations
 
-import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -30,7 +29,7 @@ from .minimax import (
 )
 from .plotting import render_comparison, write_svg
 from .problems import ValueFunctionView, _require_count, _require_positive
-from .rng import STREAM_DATA, STREAM_LATENT, RandomStream
+from .rng import STREAM_DATA, STREAM_LATENT, RandomStream, _require_u64
 
 ALGORITHMS = (
     "holder_known",
@@ -106,10 +105,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choices: {', '.join(ALGORITHMS)}")
         if self.algorithm == "constant" and self.gamma is None:
             raise ValueError("constant needs gamma")
+        if self.gamma is not None:
+            _require_positive("gamma", self.gamma)
         # a float would build the data of its truncation under a run id that names the float
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= int(seed) < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        _require_u64("seed", self.seed)
         _require_count("sample_size", self.sample_size, 1)
         if self.epsilon is not None:
             _require_positive("epsilon", self.epsilon)

@@ -5,12 +5,11 @@ calling the problem's inner oracle; one oracle call is one unit of
 ``oracle_calls`` regardless of how much work the inner solve does. Every
 driver is a thin wrapper over the one descent loop of :mod:`holderopt.descent`
 and returns a :class:`holderopt.descent.Trajectory` whose CSV carries
-:data:`MINMAX_CSV_HEADER`. The exact-oracle drivers evaluate through
-:meth:`holderopt.problems.MinMaxProblem.value_and_grad`, which
-:class:`holderopt.problems.ValueFunctionView` also uses, so
-:func:`minmax_backtrack` and :func:`holderopt.descent.backtrack_holder_gd` on
-the view run the same code on the same numbers. A non-monotone probe of
-``k - 1`` costs one extra call, or two when it fails. Only
+:data:`MINMAX_CSV_HEADER`. Every driver checks its start once with the problem's
+``start_point``; the exact-oracle ones then evaluate through the problem's ``value_and_grad``,
+which is also that of :class:`holderopt.problems.ValueFunctionView`, so :func:`minmax_backtrack`
+and :func:`holderopt.descent.backtrack_holder_gd` on the view run the same code on the same
+numbers. A non-monotone probe of ``k - 1`` costs one extra call, or two when it fails. Only
 :func:`minmax_heuristic` does without the exact oracle: it evaluates through
 an approximate oracle that keeps its last response, the warm start of every
 later inner solve and the frozen response of its test.

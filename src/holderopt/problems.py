@@ -31,6 +31,17 @@ def _require_positive(field: str, value) -> None:
         raise ValueError(f"{field} must be positive and finite, got {value}")
 
 
+def _start_point(x0, dim: int, name: str) -> Array:
+    """``x0`` as a fresh float vector; raises ValueError naming ``name`` unless it has ``dim`` finite entries."""
+    x = np.array(x0, dtype=float, ndmin=1)
+    name = f" {name}" if name else ""
+    if x.shape != (dim,):
+        raise ValueError(f"start point for problem{name} must have shape ({dim},), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"start point for problem{name} must be finite, got {x.tolist()}")
+    return x
+
+
 @dataclass(frozen=True)
 class HolderCertificate:
     """Asserts ``|grad f(x) - grad f(y)| <= beta * |x - y|**nu`` for all x and y.
@@ -51,24 +62,26 @@ class HolderCertificate:
 class SmoothObjective:
     """Differentiable objective evaluated jointly: one call gives (value, gradient).
 
-    ``eval`` is pure: repeated evaluation at the same point returns bit-identical
-    results. One ``eval`` is one oracle call; the drivers count the calls, in
-    the ``oracle_calls`` of their records.
+    As on :class:`MinMaxProblem`, ``start_point`` checks a start once, ``value_and_grad`` evaluates a
+    checked point, and ``eval`` is both. Evaluation is pure: the same point gives bit-identical
+    results. One evaluation is one oracle call; the drivers count them in their ``oracle_calls``.
     """
 
     def __init__(self, dim: int, fn: Callable[[Array], tuple], name: str = ""):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+        _require_count("dim", dim, 1)
         self.dim = int(dim)
         self.name = name
         self._fn = fn
 
-    def eval(self, x) -> tuple[float, Array]:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
+    def start_point(self, x0) -> Array:
+        return _start_point(x0, self.dim, self.name)
+
+    def value_and_grad(self, x) -> tuple[float, Array]:
         value, grad = self._fn(x)
         return float(value), np.asarray(grad, dtype=float)
+
+    def eval(self, x) -> tuple[float, Array]:
+        return self.value_and_grad(self.start_point(x))
 
 
 @dataclass
@@ -103,14 +116,8 @@ class MinMaxProblem:
             raise ValueError("problem needs at least one inner oracle")
 
     def start_point(self, x0) -> Array:
-        """``x0`` as a float vector; raises ValueError unless it has ``dim_x`` finite entries."""
-        x = np.atleast_1d(np.asarray(x0, dtype=float))
-        name = f" {self.name}" if self.name else ""
-        if x.shape != (self.dim_x,):
-            raise ValueError(f"start point for problem{name} must have shape ({self.dim_x},), got {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"start point for problem{name} must be finite, got {x.tolist()}")
-        return x
+        """``x0`` as a fresh float vector; raises ValueError unless it has ``dim_x`` finite entries."""
+        return _start_point(x0, self.dim_x, self.name)
 
     def value_and_grad(self, x) -> tuple:
         """g(x) = L(x, y*(x)) and grad g(x) = grad_x L(x, y*(x)), as float64, from one best-response call."""
@@ -121,9 +128,9 @@ class MinMaxProblem:
 class ValueFunctionView(SmoothObjective):
     """g(x) = L(x, y*(x)) as a SmoothObjective, gradient via the envelope identity.
 
-    Requires an exact ``best_response``. One ``eval`` makes exactly one
-    best-response call, through :meth:`MinMaxProblem.value_and_grad`, the same
-    evaluation the exact-oracle drivers in :mod:`holderopt.minimax` use.
+    Requires an exact ``best_response``. Its ``start_point`` and ``value_and_grad`` are the problem's
+    own, which the exact-oracle drivers in :mod:`holderopt.minimax` use; one evaluation makes one
+    best-response call.
     """
 
     def __init__(self, problem: MinMaxProblem):
@@ -131,6 +138,7 @@ class ValueFunctionView(SmoothObjective):
             raise ValueError("value function view needs an exact best_response")
         name = f"value({problem.name})" if problem.name else "value"
         super().__init__(problem.dim_x, problem.value_and_grad, name=name)
+        self.start_point, self.value_and_grad = problem.start_point, problem.value_and_grad
         self.certificate = problem.certificate
 
 
@@ -175,8 +183,7 @@ def make_sqrt_problem() -> MinMaxProblem:
 
 def make_quadratic_saddle(dim: int) -> MinMaxProblem:
     """L(x, y) = <x, y> - |y|^2/2; inner argmax y = x, value function |x|^2/2."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    _require_count("dim", dim, 1)
 
     def loss(x, y):
         return float(x.dot(y)) - 0.5 * float(y.dot(y))
@@ -215,8 +222,7 @@ def make_quadratic_saddle(dim: int) -> MinMaxProblem:
 
 def make_quadratic_minmin(dim: int) -> MinMaxProblem:
     """L(x, y) = |x - y|^2/2 + |y|^2/2; inner argmin y = x/2, value function |x|^2/4."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    _require_count("dim", dim, 1)
 
     def loss(x, y):
         d = x - y

@@ -29,14 +29,19 @@ STREAM_INIT = 2
 _U64 = 2**64
 
 
+def _require_u64(field: str, value) -> None:
+    """Raise ValueError naming ``field`` unless ``value`` is an unsigned 64-bit integer; a bool is not one."""
+    # a bool or a float would key the stream of its int() under another name
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= int(value) < _U64:
+        raise ValueError(f"{field} must be an unsigned 64-bit integer, got {value!r}")
+
+
 class RandomStream:
     """Sequential uniform/normal draws from one keyed Philox stream."""
 
     def __init__(self, seed: int, stream: int):
-        # a bool or a float would key the stream of its int() under another name
-        for name, value in (("seed", seed), ("stream id", stream)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= int(value) < _U64:
-                raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+        _require_u64("seed", seed)
+        _require_u64("stream id", stream)
         self.seed = int(seed)
         self.stream = int(stream)
         self._bitgen = np.random.Philox(key=(self.stream << 64) | self.seed)

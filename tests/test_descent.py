@@ -239,6 +239,37 @@ def test_holder_gd_rejects_bad_gamma_before_any_oracle_call():
     assert len(calls) == 0
 
 
+def counted_objectives(calls):
+    """The sqrt value function as a view and as a plain objective, each appending to ``calls`` per oracle call."""
+    problem = make_sqrt_problem()
+    best_response = problem.best_response
+    problem.best_response = lambda x: calls.append(x) or best_response(x)
+    plain = SmoothObjective(1, lambda x: calls.append(x) or (0.5 * float(x @ x), np.array(x)))
+    return {"view": ValueFunctionView(problem), "plain": plain}
+
+
+@pytest.mark.parametrize("kind", ["view", "plain"])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda obj, x0: holder_gd(obj, x0, HolderCertificate(1.0, 0.5)),
+        lambda obj, x0: backtrack_holder_gd(obj, x0),
+    ],
+    ids=["holder_gd", "backtrack_holder_gd"],
+)
+@pytest.mark.parametrize(
+    "x0, message",
+    [([math.nan], "must be finite"), ([math.inf], "must be finite"), ([1.0, 2.0], r"must have shape \(1,\)")],
+    ids=["nan", "inf", "shape"],
+)
+def test_descent_drivers_refuse_a_bad_start_before_any_oracle_call(kind, run, x0, message):
+    """The start is refused by name, as the min-max drivers refuse it; the oracle is not blamed."""
+    calls = []
+    with pytest.raises(ValueError, match=f"^start point for problem.* {message}"):
+        run(counted_objectives(calls)[kind], x0)
+    assert calls == []
+
+
 # here and below, holder_gd at nu = 1 is the fixed step gamma, for any gamma < 2 / beta
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_fixed_step_divergence_raises():

@@ -264,13 +264,22 @@ def count_calls(monkeypatch, *names):
 
 
 def test_one_oracle_call_evaluates_the_generator_once(monkeypatch):
-    """One forward pass and one distance matrix per oracle call; the gradient
-    back-propagates through the kept pass, so the public passes never run."""
+    """One forward pass, one distance matrix and one back-propagation per oracle
+    call; the gradient goes back through the kept pass, so the public passes
+    never run, and the loss comes from the solve's potentials."""
     gan = make_small_gan()
     theta = init_params(gan.spec, seed=3)
-    calls = count_calls(monkeypatch, "_forward_full", "pairwise_distances", "mlp_forward", "mlp_backward")
+    names = ("_forward_full", "pairwise_distances", "mlp_forward", "mlp_backward", "_backprop", "entropic_objective")
+    calls = count_calls(monkeypatch, *names)
     ValueFunctionView(as_minmin_problem(gan)).eval(theta)
-    assert calls == {"_forward_full": 1, "pairwise_distances": 1, "mlp_forward": 0, "mlp_backward": 0}
+    assert calls == {
+        "_forward_full": 1,
+        "pairwise_distances": 1,
+        "mlp_forward": 0,
+        "mlp_backward": 0,
+        "_backprop": 1,
+        "entropic_objective": 0,
+    }
 
 
 def test_kept_pass_gradient_equals_the_public_backward():

@@ -105,6 +105,15 @@ def test_transport_fields_are_refused_at_construction(field, value):
         ExperimentConfig(**{field: value})
 
 
+@pytest.mark.parametrize("algorithm", ["holder_known", "constant"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_gamma_is_refused_at_construction(algorithm, value):
+    """A set gamma is refused by name before any run; holder_known's range, which
+    needs the problem's certificate, is still checked when the run starts."""
+    with pytest.raises(ValueError, match=f"^gamma must be positive and finite, got {value}$"):
+        ExperimentConfig(algorithm=algorithm, gamma=value)
+
+
 @pytest.mark.parametrize("seed", [1.5, 2.0, True, np.float64(3.0), np.bool_(False)])
 def test_seed_must_be_an_integer(seed):
     with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):

@@ -1,6 +1,7 @@
 """Oracles, value functions, certificates, and what importing the package loads."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -52,6 +53,22 @@ def test_smooth_objective_counts_and_checks_shape():
     np.testing.assert_array_equal(g, [2.0, 4.0])
     with pytest.raises(ValueError):
         obj.eval([1.0, 2.0, 3.0])
+    for x in ([np.nan, 1.0], [1.0, -np.inf]):
+        with pytest.raises(ValueError, match=r"^start point for problem must be finite"):
+            obj.eval(x)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("dim", [0, 2.5, True, np.float64(2.0)])
+@pytest.mark.parametrize(
+    "make",
+    [lambda d: SmoothObjective(d, lambda x: (0.0, x)), make_quadratic_saddle, make_quadratic_minmin],
+    ids=["SmoothObjective", "quadratic_saddle", "quadratic_minmin"],
+)
+def test_dimensions_must_be_positive_integers(make, dim):
+    """The shared count check: a float or a bool is refused by name, not taken for its int()."""
+    with pytest.raises(ValueError, match="^" + re.escape(f"dim must be an integer >= 1, got {dim!r}") + "$"):
+        make(dim)
 
 
 def test_objective_eval_is_pure():
