@@ -14,9 +14,9 @@ evaluation (optionally with the non-monotone ``delta_plus`` decrement), or the
 min-max heuristic's frozen-response loss. The loop builds every
 :class:`TrajectoryRecord`, assigns every terminal status and counts every
 oracle call, with one budget rule: stop when the next step needs an oracle
-call and none is left. Every driver returns a :class:`Trajectory`. Each checks its start once,
-with its problem's or objective's ``start_point``, and then evaluates through its
-``value_and_grad``; :func:`holderopt.minimax.minmax_heuristic` alone evaluates through an
+call and none is left. It also checks the start once, with the problem's or objective's
+``start_point``, evaluates through its ``value_and_grad`` and returns the run's :class:`Trajectory`
+with the driver's CSV header; :func:`holderopt.minimax.minmax_heuristic` alone evaluates through an
 approximate oracle. :class:`holderopt.problems.ValueFunctionView`'s ``value_and_grad`` is the
 problem's own, so plain descent on the value function and the min-max driver agree bit for bit.
 """
@@ -24,6 +24,7 @@ problem's own, so plain descent on the value function and the min-max driver agr
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -93,7 +94,8 @@ class StopRule:
     max_oracle_calls: int = 10**12
 
     def __post_init__(self):
-        if self.grad_tol < 0 or not np.isfinite(self.grad_tol):
+        tol = self.grad_tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
             raise ValueError(f"grad_tol must be finite and >= 0, got {self.grad_tol}")
         _require_count("max_iters", self.max_iters, 1)
         _require_count("max_oracle_calls", self.max_oracle_calls, 1)
@@ -250,30 +252,32 @@ def _checked_norm(value: float, grad: np.ndarray, shape: tuple, iteration: int) 
     return grad_norm
 
 
-def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, frozen=False):
-    """The one descent loop behind every driver; returns ``(records, status)``.
+def _descend(obj, x0, stop, step_fn, params=None, header=CSV_HEADER, *, nonmonotone=False, frozen=False):
+    """The one descent loop behind every driver; returns the run's :class:`Trajectory`,
+    whose CSV carries ``header``.
 
-    ``evaluate(x) -> (value, grad)`` is one oracle call, ``grad`` a float64 array of ``x``'s
-    shape (another shape raises ValueError); the first is at ``x0``, a fresh float vector from
-    ``start_point`` that record 0 keeps. Iteration n ends the run on ``stop``'s gradient tolerance
-    or iteration budget; otherwise it steps by ``step_fn(k, |grad|)`` along ``-grad``, to a fresh
-    array. The acceptance test is one of:
+    ``obj.start_point(x0)`` checks the start, before any oracle call, and gives the fresh float
+    vector that record 0 keeps. ``obj.value_and_grad(x) -> (value, grad)`` is one oracle call,
+    ``grad`` a float64 array of ``x``'s shape (another shape raises ValueError); the first is at
+    the start. Iteration n ends the run on ``stop``'s gradient tolerance or iteration budget;
+    otherwise it steps by ``step_fn(k, |grad|)`` along ``-grad``, to a fresh array. The
+    acceptance test is one of:
 
     * none (``params is None``): the trial's evaluation is the next iterate's;
-    * the ``params.delta`` decrease test on ``evaluate(trial)``, one call per
+    * the ``params.delta`` decrease test on ``value_and_grad(trial)``, one call per
       trial. ``k`` starts at 0, or at 1 with ``nonmonotone``. Each rejection
       raises ``k``, which carries over between iterations; ``nonmonotone``
       first lowers ``k`` by one when the inherited step clears
       ``params.delta_plus``. That probe at ``k - 1`` is one call; when it
       fails the ``delta`` test, ``k`` rises back and the inherited step is
       evaluated again, a third call at the point of the first;
-    * with ``frozen``, the same test on ``evaluate.frozen_loss(trial)``, which
+    * with ``frozen``, the same test on ``obj.frozen_loss(trial)``, which
       is no oracle call. ``k`` restarts at 0 each iteration, and the accepted
       point is evaluated afresh.
 
     Budget rule: stop with :data:`ORACLE_BUDGET` when the next step needs an
     oracle call and none is left. A frozen search needs none, so it still
-    takes its step and closes on ``evaluate.frozen(x)``, evaluated with the
+    takes its step and closes on ``obj.frozen(x)``, evaluated with the
     last response. ``k > params.k_max`` stops with :data:`K_CAP_EXCEEDED`; a
     non-finite value, gradient or gradient norm raises :class:`NumericError`.
     """
@@ -281,7 +285,8 @@ def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, fro
     grad_tol, max_iters, max_calls = stop.grad_tol, stop.max_iters, stop.max_oracle_calls
     if params is not None:
         delta, delta_plus, k_max = params.delta, params.delta_plus, params.k_max
-    x, shape = x0, x0.shape
+    x = obj.start_point(x0)
+    shape, evaluate = x.shape, obj.value_and_grad
     value, grad = evaluate(x)
     calls = 1
     gn = _checked_norm(value, grad, shape, 0)
@@ -301,7 +306,7 @@ def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, fro
             step = step_fn(k, gn)
             trial = x - step * grad
             if frozen:
-                t_value = evaluate.frozen_loss(trial)
+                t_value = obj.frozen_loss(trial)
                 # the step reuses the gradient already checked at x
                 if not math.isfinite(t_value):
                     raise NumericError("oracle returned a non-finite value, gradient or gradient norm", n)
@@ -324,7 +329,7 @@ def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, fro
 
         if status is not None:
             record(TrajectoryRecord(n, calls, x, value, gn, 0.0, k))
-            return records, status
+            return Trajectory(records, status, header)
         record(TrajectoryRecord(n, calls, x, value, gn, step, k))
         x = trial
         n += 1
@@ -335,9 +340,9 @@ def _descend(evaluate, x0, stop, step_fn, params=None, *, nonmonotone=False, fro
             calls += 1
             gn = _checked_norm(value, grad, shape, n)
         else:
-            value, grad = evaluate.frozen(x)
+            value, grad = obj.frozen(x)
             record(TrajectoryRecord(n, calls, x, value, _checked_norm(value, grad, shape, n), 0.0, 0))
-            return records, ORACLE_BUDGET
+            return Trajectory(records, ORACLE_BUDGET, header)
 
 
 def holder_gd(
@@ -357,8 +362,7 @@ def holder_gd(
         gamma = optimal_holder_gamma(cert)
     # validate gamma once up front so a bad range fails before any oracle call
     holder_step(1.0, cert, gamma)
-    step_fn = lambda k, gn: holder_step(gn, cert, gamma)
-    return Trajectory(*_descend(obj.value_and_grad, obj.start_point(x0), stop, step_fn))
+    return _descend(obj, x0, stop, lambda k, gn: holder_step(gn, cert, gamma))
 
 
 def backtrack_holder_gd(
@@ -371,6 +375,5 @@ def backtrack_holder_gd(
     is (iterations) + (k increments) + 1 for the initial evaluation.
     """
     params = params or BacktrackParams()
-    step_fn = lambda k, gn: backtrack_step(k, gn, params)
-    return Trajectory(*_descend(obj.value_and_grad, obj.start_point(x0), stop, step_fn, params))
+    return _descend(obj, x0, stop, lambda k, gn: backtrack_step(k, gn, params), params)
 

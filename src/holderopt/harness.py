@@ -31,14 +31,25 @@ from .plotting import render_comparison, write_svg
 from .problems import ValueFunctionView, _require_count, _require_positive
 from .rng import STREAM_DATA, STREAM_LATENT, RandomStream, _require_u64
 
-ALGORITHMS = (
-    "holder_known",
-    "backtrack_holder",
-    "nonmonotone_holder",
-    "nonmonotone_armijo",
-    "heuristic_minmax",
-    "constant",
-)
+
+def _holder_known(problem, x0, config):
+    if problem.certificate is None:
+        raise ValueError(f"problem {config.problem!r} carries no smoothness certificate")
+    return holder_gd(ValueFunctionView(problem), x0, problem.certificate, gamma=config.gamma, stop=config.stop)
+
+
+# algorithm -> run(problem, x0, config). Each run looks its driver up among this module's
+# globals when it is called: perfbench/tracing.py times a driver by replacing its name here,
+# and a table of the driver functions themselves would keep running the originals.
+_RUNS = {
+    "holder_known": _holder_known,
+    "backtrack_holder": lambda problem, x0, c: minmax_backtrack(problem, x0, c.params, c.stop),
+    "nonmonotone_holder": lambda problem, x0, c: minmin_backtrack_nonmonotone(problem, x0, c.params, c.stop),
+    "nonmonotone_armijo": lambda problem, x0, c: minmin_armijo_nonmonotone(problem, x0, c.params, c.stop),
+    "heuristic_minmax": lambda problem, x0, c: minmax_heuristic(problem, x0, c.params, c.inner, c.stop),
+    "constant": lambda problem, x0, c: minmax_constant(problem, x0, c.gamma, c.stop),
+}
+ALGORITHMS = tuple(_RUNS)
 
 GENERATOR_WIDTHS = (2, 64, 32, 16, 2)
 # the paper's comparison budget, for a sinkhorn_gan config that sets no bound:
@@ -99,8 +110,11 @@ class ExperimentConfig:
             # only constant's run id carries the step, and most drivers never read gamma
             if algo != "constant":
                 raise ValueError(f"only constant takes a step as constant:<step>, got {self.algorithm!r}")
+            try:
+                self.gamma = float(step)
+            except ValueError:
+                raise ValueError(f"constant takes a number as constant:<step>, got {self.algorithm!r}") from None
             self.algorithm = algo
-            self.gamma = float(step)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choices: {', '.join(ALGORITHMS)}")
         if self.algorithm == "constant" and self.gamma is None:
@@ -113,6 +127,8 @@ class ExperimentConfig:
         if self.epsilon is not None:
             _require_positive("epsilon", self.epsilon)
         _require_positive("sinkhorn_tol", self.sinkhorn_tol)
+        if self.problem != "sinkhorn_gan":
+            _problems.get_problem(self.problem)  # refuse an unknown or malformed id before any run
         if self.x0 is not None:
             self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
 
@@ -140,8 +156,6 @@ def build_problem(config: ExperimentConfig):
     else:
         problem = _problems.get_problem(config.problem)
         x0 = problem.x0_default if config.x0 is None else config.x0
-        if x0 is None:
-            raise ValueError(f"problem {config.problem!r} has no default start; set x0")
     return problem, problem.start_point(x0)
 
 
@@ -154,22 +168,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     min-max header otherwise. The CSV's x-axis column is ``oracle_calls``.
     """
     problem, x0 = build_problem(config)
-    algo = config.algorithm
-    if algo == "holder_known":
-        if problem.certificate is None:
-            raise ValueError(f"problem {config.problem!r} carries no smoothness certificate")
-        view = ValueFunctionView(problem)
-        traj = holder_gd(view, x0, problem.certificate, gamma=config.gamma, stop=config.stop)
-    elif algo == "backtrack_holder":
-        traj = minmax_backtrack(problem, x0, config.params, config.stop)
-    elif algo == "nonmonotone_holder":
-        traj = minmin_backtrack_nonmonotone(problem, x0, config.params, config.stop)
-    elif algo == "nonmonotone_armijo":
-        traj = minmin_armijo_nonmonotone(problem, x0, config.params, config.stop)
-    elif algo == "heuristic_minmax":
-        traj = minmax_heuristic(problem, x0, config.params, config.inner, config.stop)
-    else:  # constant
-        traj = minmax_constant(problem, x0, config.gamma, config.stop)
+    traj = _RUNS[config.algorithm](problem, x0, config)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         traj.to_csv(os.path.join(out_dir, config.run_id() + ".csv"))

@@ -3,10 +3,10 @@
 Every driver minimizes the value function g(x) = L(x, y*(x)) while only ever
 calling the problem's inner oracle; one oracle call is one unit of
 ``oracle_calls`` regardless of how much work the inner solve does. Every
-driver is a thin wrapper over the one descent loop of :mod:`holderopt.descent`
-and returns a :class:`holderopt.descent.Trajectory` whose CSV carries
-:data:`MINMAX_CSV_HEADER`. Every driver checks its start once with the problem's
-``start_point``; the exact-oracle ones then evaluate through the problem's ``value_and_grad``,
+driver checks its preconditions and is then one call of the descent loop of
+:mod:`holderopt.descent`, which checks the start once with the problem's ``start_point`` and
+returns the :class:`holderopt.descent.Trajectory`, whose CSV carries :data:`MINMAX_CSV_HEADER`.
+The exact-oracle drivers evaluate through the problem's ``value_and_grad``,
 which is also that of :class:`holderopt.problems.ValueFunctionView`, so :func:`minmax_backtrack`
 and :func:`holderopt.descent.backtrack_holder_gd` on the view run the same code on the same
 numbers. A non-monotone probe of ``k - 1`` costs one extra call, or two when it fails. Only
@@ -51,16 +51,18 @@ MINMAX_CSV_HEADER = "n,oracle_calls,L,grad_x_norm,step,k"
 class _ApproxOracle:
     """The approximate inner oracle, keeping its last response y.
 
-    A call at x is one oracle call: one inner solve, warm started from the
-    kept response (cold, from ``y = None``, on the first call), giving
-    (L(x, y), grad_x L(x, y)). ``frozen_loss`` and ``frozen`` evaluate at the
-    kept response and are not oracle calls.
+    ``start_point`` is the problem's own. ``value_and_grad`` at x is one oracle
+    call: one inner solve, warm started from the kept response (cold, from
+    ``y = None``, on the first call), giving (L(x, y), grad_x L(x, y)).
+    ``frozen_loss`` and ``frozen`` evaluate at the kept response and are not
+    oracle calls.
     """
 
     def __init__(self, problem: MinMaxProblem, budget: InnerAscentBudget):
         self.problem, self.budget, self.y = problem, budget, None
+        self.start_point = problem.start_point
 
-    def __call__(self, x):
+    def value_and_grad(self, x):
         self.y = self.problem.approx_response(x, self.y, self.budget)
         return self.frozen(x)
 
@@ -69,10 +71,6 @@ class _ApproxOracle:
 
     def frozen(self, x):
         return self.frozen_loss(x), np.asarray(self.problem.grad_x(x, self.y), dtype=float)
-
-
-def _run(evaluate, x0, stop, step_fn, params=None, **search) -> Trajectory:
-    return Trajectory(*_descend(evaluate, x0, stop, step_fn, params, **search), MINMAX_CSV_HEADER)
 
 
 def _require(problem: MinMaxProblem, sense: Optional[str], oracle: str, driver: str) -> None:
@@ -96,8 +94,7 @@ def minmax_backtrack(
     """
     _require(problem, "min-max", "best_response", "minmax_backtrack")
     params = params or BacktrackParams()
-    step_fn = lambda k, gn: backtrack_step(k, gn, params)
-    return _run(problem.value_and_grad, problem.start_point(x0), stop, step_fn, params)
+    return _descend(problem, x0, stop, lambda k, gn: backtrack_step(k, gn, params), params, MINMAX_CSV_HEADER)
 
 
 def minmin_backtrack_nonmonotone(
@@ -115,7 +112,7 @@ def minmin_backtrack_nonmonotone(
     _require(problem, "min-min", "best_response", "minmin_backtrack_nonmonotone")
     params = params or BacktrackParams()
     step_fn = lambda k, gn: backtrack_step(k, gn, params)
-    return _run(problem.value_and_grad, problem.start_point(x0), stop, step_fn, params, nonmonotone=True)
+    return _descend(problem, x0, stop, step_fn, params, MINMAX_CSV_HEADER, nonmonotone=True)
 
 
 def minmin_armijo_nonmonotone(
@@ -128,7 +125,7 @@ def minmin_armijo_nonmonotone(
     _require(problem, "min-min", "best_response", "minmin_armijo_nonmonotone")
     params = params or BacktrackParams()
     step_fn = lambda k, gn: params.gamma * params.alpha**k
-    return _run(problem.value_and_grad, problem.start_point(x0), stop, step_fn, params, nonmonotone=True)
+    return _descend(problem, x0, stop, step_fn, params, MINMAX_CSV_HEADER, nonmonotone=True)
 
 
 def minmax_heuristic(
@@ -150,7 +147,7 @@ def minmax_heuristic(
     params = params or BacktrackParams()
     step_fn = lambda k, gn: backtrack_step(k, gn, params)
     oracle = _ApproxOracle(problem, budget or InnerAscentBudget())
-    return _run(oracle, problem.start_point(x0), stop, step_fn, params, frozen=True)
+    return _descend(oracle, x0, stop, step_fn, params, MINMAX_CSV_HEADER, frozen=True)
 
 
 def minmax_constant(
@@ -165,4 +162,4 @@ def minmax_constant(
     """
     _require(problem, None, "best_response", "minmax_constant")
     _require_positive("gamma", gamma)
-    return _run(problem.value_and_grad, problem.start_point(x0), stop, lambda k, gn: gamma)
+    return _descend(problem, x0, stop, lambda k, gn: gamma, None, MINMAX_CSV_HEADER)

@@ -26,8 +26,9 @@ def _require_count(field: str, value, low: int) -> None:
 
 
 def _require_positive(field: str, value) -> None:
-    """Raise ValueError naming ``field`` unless ``value`` is positive and finite; NaN is not."""
-    if not (value > 0 and math.isfinite(value)):
+    """Raise ValueError naming ``field`` unless ``value`` is a positive, finite real; NaN and bools are not.
+    ``float`` is tested before the abstract ``Real``, which is slower, because every transport solve checks two."""
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)) or not 0 < value < math.inf:
         raise ValueError(f"{field} must be positive and finite, got {value}")
 
 
@@ -250,20 +251,18 @@ def make_quadratic_minmin(dim: int) -> MinMaxProblem:
 def get_problem(problem_id: str) -> MinMaxProblem:
     """Look up an analytic problem by id.
 
-    Ids: ``sqrt``, ``quadratic_saddle:D``, ``quadratic_minmin:D`` (D a positive
-    integer dimension). The entropic-transport generator problem is assembled
-    by the harness because it needs sampled data and a seed.
+    Ids: ``sqrt``, ``quadratic_saddle:D``, ``quadratic_minmin:D`` (D a positive decimal
+    integer with no sign, space or leading zero, so one id names one problem). The entropic-transport
+    generator problem is assembled by the harness because it needs sampled data and a seed.
     """
     if problem_id == "sqrt":
         return make_sqrt_problem()
     head, _, tail = problem_id.partition(":")
     if head in ("quadratic_saddle", "quadratic_minmin") and tail:
-        try:
-            dim = int(tail)
-        except ValueError:
-            raise KeyError(f"bad dimension in problem id {problem_id!r}") from None
+        if not tail.isdecimal() or str(int(tail)) != tail:
+            raise KeyError(f"bad dimension in problem id {problem_id!r}")
         maker = make_quadratic_saddle if head == "quadratic_saddle" else make_quadratic_minmin
-        return maker(dim)
+        return maker(int(tail))
     raise KeyError(
         f"unknown problem id {problem_id!r}; expected 'sqrt', 'quadratic_saddle:D', "
         "'quadratic_minmin:D' (the sinkhorn_gan problem is built by the harness)"

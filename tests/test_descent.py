@@ -140,7 +140,14 @@ def test_backtrack_params_validation(kwargs):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(grad_tol=-1.0), dict(grad_tol=float("nan")), dict(max_iters=0), dict(max_oracle_calls=0)],
+    [
+        dict(grad_tol=-1.0),
+        dict(grad_tol=float("nan")),
+        dict(max_iters=0),
+        dict(max_oracle_calls=0),
+        dict(grad_tol=True),
+        dict(grad_tol="0.1"),
+    ],
 )
 def test_stop_rule_validation(kwargs):
     with pytest.raises(ValueError):
@@ -183,8 +190,9 @@ def _gan_objective(**fields):
     ],
     ids=["gamma", "rho", "beta", "step_size", "minmax_constant", "gan_epsilon", "gan_tol", "epsilon", "tol"],
 )
-@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan, True, "0.1"])
 def test_positive_fields_refuse_zero_negatives_and_non_finite_values(make, field, value):
+    """True would be taken as 1, and a string would fail in a comparison that names no field."""
     with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got {value}$"):
         make(value)
 
@@ -259,8 +267,13 @@ def counted_objectives(calls):
 )
 @pytest.mark.parametrize(
     "x0, message",
-    [([math.nan], "must be finite"), ([math.inf], "must be finite"), ([1.0, 2.0], r"must have shape \(1,\)")],
-    ids=["nan", "inf", "shape"],
+    [
+        ([math.nan], "must be finite"),
+        ([math.inf], "must be finite"),
+        ([-math.inf], "must be finite"),
+        ([1.0, 2.0], r"must have shape \(1,\)"),
+    ],
+    ids=["nan", "inf", "-inf", "shape"],
 )
 def test_descent_drivers_refuse_a_bad_start_before_any_oracle_call(kind, run, x0, message):
     """The start is refused by name, as the min-max drivers refuse it; the oracle is not blamed."""

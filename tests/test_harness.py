@@ -22,13 +22,17 @@ from holderopt import (
     sample_data,
     sample_latents,
 )
+from holderopt import harness
 from holderopt import problems as problems_module
 from holderopt.cli import main
+from holderopt.descent import CSV_HEADER
 from holderopt.harness import (
+    ALGORITHMS,
     GENERATOR_WIDTHS,
     config_from_values,
     parse_config_text,
 )
+from holderopt.minimax import MINMAX_CSV_HEADER
 from holderopt.rng import RandomStream
 
 # ----------------------------------------------------------------- sampling
@@ -95,6 +99,18 @@ def test_config_validation():
         ExperimentConfig(seed=-1)
     with pytest.raises(ValueError, match="sample_size"):
         ExperimentConfig(sample_size=0)
+    with pytest.raises(ValueError, match=r"^constant takes a number as constant:<step>, got 'constant:abc'$"):
+        ExperimentConfig(algorithm="constant:abc")
+
+
+@pytest.mark.parametrize("problem", ["bogus", "quadratic_saddle:8_0", "quadratic_minmin:08", "quadratic_saddle:"])
+def test_problem_id_is_refused_at_construction(problem):
+    """With the problem registry's own error, before any run; no run id names a problem it did not build."""
+    with pytest.raises(KeyError) as refused:
+        ExperimentConfig(problem=problem)
+    with pytest.raises(KeyError) as registry:
+        get_problem(problem)
+    assert refused.value.args == registry.value.args
 
 
 @pytest.mark.parametrize("field", ["epsilon", "sinkhorn_tol"])
@@ -106,7 +122,7 @@ def test_transport_fields_are_refused_at_construction(field, value):
 
 
 @pytest.mark.parametrize("algorithm", ["holder_known", "constant"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0, True, "0.1"])
 def test_gamma_is_refused_at_construction(algorithm, value):
     """A set gamma is refused by name before any run; holder_known's range, which
     needs the problem's certificate, is still checked when the run starts."""
@@ -301,20 +317,34 @@ def test_run_experiment_known_constants_uses_certificate():
         run_experiment(ExperimentConfig(problem="sinkhorn_gan", algorithm="holder_known", sample_size=4))
 
 
-@pytest.mark.parametrize(
-    "problem,algorithm",
-    [
-        ("quadratic_minmin:2", "nonmonotone_holder"),
-        ("quadratic_minmin:2", "nonmonotone_armijo"),
-        ("quadratic_saddle:2", "heuristic_minmax"),
-        ("quadratic_saddle:2", "constant:0.5"),
-    ],
-)
-def test_run_experiment_dispatch(problem, algorithm):
+# (problem, algorithm, the driver's name on harness) for every algorithm, in ALGORITHMS order
+DISPATCH = [
+    ("quadratic_saddle:2", "holder_known", "holder_gd"),
+    ("quadratic_saddle:2", "backtrack_holder", "minmax_backtrack"),
+    ("quadratic_minmin:2", "nonmonotone_holder", "minmin_backtrack_nonmonotone"),
+    ("quadratic_minmin:2", "nonmonotone_armijo", "minmin_armijo_nonmonotone"),
+    ("quadratic_saddle:2", "heuristic_minmax", "minmax_heuristic"),
+    ("quadratic_saddle:2", "constant:0.5", "minmax_constant"),
+]
+
+
+@pytest.mark.parametrize("problem,algorithm", [(problem, algorithm) for problem, algorithm, _ in DISPATCH])
+def test_run_experiment_dispatch(problem, algorithm, tmp_path):
     cfg = ExperimentConfig(problem=problem, algorithm=algorithm, stop=StopRule(max_iters=200))
-    traj = run_experiment(cfg)
+    traj = run_experiment(cfg, out_dir=tmp_path)
     assert len(traj.oracle_calls) == len(traj.f_values) == len(traj)
     assert traj.terminal_status in ("converged", "iter_budget")
+    header = CSV_HEADER if algorithm == "holder_known" else MINMAX_CSV_HEADER
+    assert (tmp_path / f"{cfg.run_id()}.csv").read_text().split("\n", 1)[0] == header
+
+
+def test_run_experiment_calls_each_driver_by_its_name_on_harness(monkeypatch):
+    """A driver replaced on ``harness``, as the benchmark's tracer replaces it, is the one that runs."""
+    assert [algorithm.partition(":")[0] for _, algorithm, _ in DISPATCH] == list(ALGORITHMS)
+    for _, _, driver in DISPATCH:
+        monkeypatch.setattr(harness, driver, lambda *args, driver=driver, **kwargs: driver)
+    for problem, algorithm, driver in DISPATCH:
+        assert run_experiment(ExperimentConfig(problem=problem, algorithm=algorithm)) == driver
 
 
 def test_compare_and_plot_deterministic_svg(tmp_path):
@@ -417,6 +447,12 @@ def test_cli_errors_exit_2(tmp_path, capsys):
 def test_cli_unknown_problem_message_is_not_quoted(tmp_path, capsys):
     assert main(["--problem", "foo", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: unknown problem id 'foo'; expected 'sqrt'")
+
+
+def test_cli_malformed_problem_id_exits_2_and_writes_nothing(tmp_path, capsys):
+    assert main(["--problem", "quadratic_saddle:8_0", "--out", str(tmp_path / "bad")]) == 2
+    assert capsys.readouterr().err == "error: bad dimension in problem id 'quadratic_saddle:8_0'\n"
+    assert not (tmp_path / "bad").exists()
 
 
 def test_cli_step_shorthand_off_constant_exits_2(tmp_path, capsys):

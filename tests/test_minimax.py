@@ -348,8 +348,15 @@ MINMAX_RUNS = [
 
 @pytest.mark.parametrize("maker, run", MINMAX_RUNS)
 def test_drivers_reject_wrong_length_start(maker, run):
-    with pytest.raises(ValueError, match=r"shape \(8,\), got \(3,\)"):
-        run(maker(8), np.ones(3))
+    """A start of the wrong length, or with a NaN or infinite entry, is refused by name before any
+    oracle call, exact or approximate."""
+    prob, counts = counting(maker(8))
+    with pytest.raises(ValueError, match=r"^start point for problem quadratic_\w+:8 must have shape \(8,\), got \(3,\)"):
+        run(prob, np.ones(3))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^start point for problem quadratic_\w+:8 must be finite"):
+            run(prob, np.r_[np.ones(7), bad])
+    assert counts == {"best": 0, "approx": 0}
 
 
 @pytest.mark.parametrize("maker, run", MINMAX_RUNS)
