@@ -35,7 +35,11 @@ from .problems import MinMaxProblem, _require_count, _require_positive
 
 @dataclass
 class InnerAscentBudget:
-    """Budget for an approximate inner solve: fixed-step gradient iterations."""
+    """Budget for an approximate inner solve: ``steps`` fixed-step gradient iterations of size ``step_size``.
+
+    On the quadratic saddle the iterations are returned in closed form, so the cost there does not
+    grow with ``steps``; a step size above 2 diverges. The sqrt problem runs them one by one.
+    """
 
     steps: int = 50
     step_size: float = 0.5

@@ -183,7 +183,13 @@ def make_sqrt_problem() -> MinMaxProblem:
 
 
 def make_quadratic_saddle(dim: int) -> MinMaxProblem:
-    """L(x, y) = <x, y> - |y|^2/2; inner argmax y = x, value function |x|^2/2."""
+    """L(x, y) = <x, y> - |y|^2/2; inner argmax y = x, value function |x|^2/2.
+
+    The inexact inner ascent ``y <- y + s * (x - y)``, run ``steps`` times from ``y_warm``
+    (zero when cold), is returned in closed form, ``x + (1 - s)**steps * (y_warm - x)``, so its
+    cost does not grow with ``steps``. Above a step size of 2 the ascent diverges, and once
+    ``(1 - s)**steps`` overflows the response is non-finite.
+    """
     _require_count("dim", dim, 1)
 
     def loss(x, y):
@@ -196,16 +202,9 @@ def make_quadratic_saddle(dim: int) -> MinMaxProblem:
         return np.array(x, dtype=float)
 
     def approx_response(x, y_warm, budget):
-        y = np.zeros(dim) if y_warm is None else np.array(y_warm, dtype=float)
-        step = np.empty(dim)
-        s = budget.step_size
-        subtract, multiply, add = np.subtract, np.multiply, np.add
-        for _ in range(budget.steps):
-            # y + s * (x - y) in place: the same three operations, so the same bits
-            subtract(x, y, step)
-            multiply(step, s, step)
-            add(y, step, y)
-        return y
+        # a numpy power, so a diverging budget (step size above 2) overflows to inf, not OverflowError
+        factor = np.float64(1.0 - budget.step_size) ** budget.steps
+        return x + factor * ((0.0 if y_warm is None else y_warm) - x)
 
     return MinMaxProblem(
         dim_x=dim,
@@ -255,14 +254,15 @@ def get_problem(problem_id: str) -> MinMaxProblem:
     integer with no sign, space or leading zero, so one id names one problem). The entropic-transport
     generator problem is assembled by the harness because it needs sampled data and a seed.
     """
-    if problem_id == "sqrt":
-        return make_sqrt_problem()
-    head, _, tail = problem_id.partition(":")
-    if head in ("quadratic_saddle", "quadratic_minmin") and tail:
-        if not tail.isdecimal() or str(int(tail)) != tail:
-            raise KeyError(f"bad dimension in problem id {problem_id!r}")
-        maker = make_quadratic_saddle if head == "quadratic_saddle" else make_quadratic_minmin
-        return maker(int(tail))
+    if isinstance(problem_id, str):
+        if problem_id == "sqrt":
+            return make_sqrt_problem()
+        head, _, tail = problem_id.partition(":")
+        if head in ("quadratic_saddle", "quadratic_minmin") and tail:
+            if not tail.isdecimal() or str(int(tail)) != tail:
+                raise KeyError(f"bad dimension in problem id {problem_id!r}")
+            maker = make_quadratic_saddle if head == "quadratic_saddle" else make_quadratic_minmin
+            return maker(int(tail))
     raise KeyError(
         f"unknown problem id {problem_id!r}; expected 'sqrt', 'quadratic_saddle:D', "
         "'quadratic_minmin:D' (the sinkhorn_gan problem is built by the harness)"

@@ -103,9 +103,14 @@ def test_config_validation():
         ExperimentConfig(algorithm="constant:abc")
 
 
-@pytest.mark.parametrize("problem", ["bogus", "quadratic_saddle:8_0", "quadratic_minmin:08", "quadratic_saddle:"])
+@pytest.mark.parametrize(
+    "problem",
+    ["bogus", "quadratic_saddle:8_0", "quadratic_minmin:08", "quadratic_saddle:"]
+    + [None, 3, pytest.param(b"sqrt", id="bytes")],
+)
 def test_problem_id_is_refused_at_construction(problem):
-    """With the problem registry's own error, before any run; no run id names a problem it did not build."""
+    """With the problem registry's own error, before any run; no run id names a problem it did not build.
+    A non-str id is an unknown one."""
     with pytest.raises(KeyError) as refused:
         ExperimentConfig(problem=problem)
     with pytest.raises(KeyError) as registry:
@@ -453,6 +458,17 @@ def test_cli_malformed_problem_id_exits_2_and_writes_nothing(tmp_path, capsys):
     assert main(["--problem", "quadratic_saddle:8_0", "--out", str(tmp_path / "bad")]) == 2
     assert capsys.readouterr().err == "error: bad dimension in problem id 'quadratic_saddle:8_0'\n"
     assert not (tmp_path / "bad").exists()
+
+
+def test_cli_divergent_inner_budget_exits_2(tmp_path, capsys):
+    """An inner step size above 2 overflows the inner response: a reported error, not a traceback."""
+    path = tmp_path / "exp.cfg"
+    path.write_text(
+        "problem = quadratic_saddle:8\nalgorithm = heuristic_minmax\ninner_steps = 2000\ninner_step_size = 3.0\n"
+    )
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["--config", str(path), "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err.startswith("error: oracle returned a non-finite value")
 
 
 def test_cli_step_shorthand_off_constant_exits_2(tmp_path, capsys):

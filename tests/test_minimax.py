@@ -304,6 +304,14 @@ def test_heuristic_inner_solves_start_from_the_previous_response():
         assert y_warm is previous
 
 
+def test_heuristic_divergent_inner_budget_raises_numeric_error():
+    """A step size above 2 makes the inner ascent diverge; its response overflows to inf, never OverflowError."""
+    prob = make_quadratic_saddle(8)
+    budget = InnerAscentBudget(steps=2000, step_size=3.0)
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(NumericError):
+        minmax_heuristic(prob, prob.x0_default, budget=budget)
+
+
 def test_heuristic_requires_approx_oracle():
     prob = make_quadratic_saddle(2)
     prob.approx_response = None

@@ -186,21 +186,31 @@ def test_approx_response_converges_to_exact(maker):
         assert np.linalg.norm(y2 - y_star) <= 1e-12
 
 
-@pytest.mark.parametrize("maker, ascent", [(make_quadratic_saddle, lambda x, y, s: y + s * (x - y))])
-def test_approx_response_bits_match_the_expression(maker, ascent):
-    """The in-place inner steps give the bits of the step written as one expression,
-    and leave the warm start as it was."""
+def ascend(x, y, step_size, steps):
+    """The inner ascent's recurrence y <- y + s * (x - y), step by step."""
+    for _ in range(steps):
+        y = y + step_size * (x - y)
+    return y
+
+
+@pytest.mark.parametrize(
+    "maker, closed_form", [(make_quadratic_saddle, lambda x, y, s, steps: x + np.float64(1.0 - s) ** steps * (y - x))]
+)
+def test_approx_response_bits_match_the_expression(maker, closed_form):
+    """The inner ascent gives the bits of its closed form written as one expression, stays within
+    4 (steps + 1) eps max(|x|, |y_warm|) of the recurrence, and leaves the warm start as it was."""
     from holderopt import InnerAscentBudget
 
     rng = np.random.default_rng(8)
     budget = InnerAscentBudget(steps=50, step_size=0.3)
     x, y_warm = rng.standard_normal(16), rng.standard_normal(16)
     for start in (None, y_warm):
-        expected = np.zeros(16) if start is None else start
-        for _ in range(budget.steps):
-            expected = ascent(x, expected, budget.step_size)
+        y0 = np.zeros(16) if start is None else start
         before = y_warm.copy()
-        np.testing.assert_array_equal(maker(16).approx_response(x, start, budget), expected)
+        y = maker(16).approx_response(x, start, budget)
+        np.testing.assert_array_equal(y, closed_form(x, y0, budget.step_size, budget.steps))
+        bound = 4 * (budget.steps + 1) * np.finfo(float).eps * max(np.abs(x).max(), np.abs(y0).max())
+        assert np.abs(y - ascend(x, y0, budget.step_size, budget.steps)).max() <= bound
         np.testing.assert_array_equal(y_warm, before)
 
 
