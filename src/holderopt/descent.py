@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import HolderCertificate, SmoothObjective, _require_count, _require_positive
+from .problems import HolderCertificate, SmoothObjective, _require_count, _require_interval, _require_positive
 
 CONVERGED = "converged"
 ITER_BUDGET = "iter_budget"
@@ -73,15 +73,10 @@ class BacktrackParams:
 
     def __post_init__(self):
         _require_positive("gamma", self.gamma)
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        _require_interval("alpha", self.alpha, 0.0, 1.0, "(0, 1)")
+        _require_interval("delta", self.delta, 0.0, 1.0, "(0, 1)")
         _require_positive("rho", self.rho)
-        if not self.delta < self.delta_plus < 1.0:
-            raise ValueError(
-                f"delta_plus must lie in (delta, 1), got {self.delta_plus} with delta={self.delta}"
-            )
+        _require_interval("delta_plus", self.delta_plus, self.delta, 1.0, f"(delta={self.delta}, 1)")
         _require_count("k_max", self.k_max, 1)
 
 
@@ -361,6 +356,7 @@ def holder_gd(
     if gamma is None:
         gamma = optimal_holder_gamma(cert)
     # validate gamma once up front so a bad range fails before any oracle call
+    _require_positive("gamma", gamma)
     holder_step(1.0, cert, gamma)
     return _descend(obj, x0, stop, lambda k, gn: holder_step(gn, cert, gamma))
 

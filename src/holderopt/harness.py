@@ -89,7 +89,7 @@ class ExperimentConfig:
     ``algorithm="constant:<step>"`` sets ``gamma``; any other algorithm with a
     ``:<step>`` suffix raises ValueError. ``epsilon=None`` means 0.01 times
     the mean initial cost (resolved when the generator problem is built).
-    Only ``heuristic_minmax`` reads ``inner``."""
+    Only ``heuristic_minmax`` reads ``inner``. ``x0`` is kept as given; the driver checks it."""
 
     problem: str = "sqrt"
     algorithm: str = "backtrack_holder"
@@ -104,7 +104,7 @@ class ExperimentConfig:
     inner: InnerAscentBudget = field(default_factory=InnerAscentBudget)
 
     def __post_init__(self):
-        algo, _, step = self.algorithm.partition(":")
+        algo, _, step = self.algorithm.partition(":") if isinstance(self.algorithm, str) else (None, "", "")
         if step:
             # shorthand like "constant:0.05" pins the fixed step in the name;
             # only constant's run id carries the step, and most drivers never read gamma
@@ -128,9 +128,7 @@ class ExperimentConfig:
             _require_positive("epsilon", self.epsilon)
         _require_positive("sinkhorn_tol", self.sinkhorn_tol)
         if self.problem != "sinkhorn_gan":
-            _problems.get_problem(self.problem)  # refuse an unknown or malformed id before any run
-        if self.x0 is not None:
-            self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
+            _problems._parse_problem_id(self.problem)  # refuse an unknown or malformed id before any run
 
     def run_id(self) -> str:
         parts = [self.problem.replace(":", "-"), self.algorithm]
@@ -141,7 +139,8 @@ class ExperimentConfig:
 
 
 def build_problem(config: ExperimentConfig):
-    """Instantiate the configured problem. Returns (problem, x0)."""
+    """Instantiate the configured problem. Returns (problem, x0), x0 the configured start or the
+    problem's default, as given: the driver checks it."""
     if config.problem == "sinkhorn_gan":
         spec = MlpSpec(GENERATOR_WIDTHS)
         data = sample_data(config.sample_size, config.seed)
@@ -152,11 +151,10 @@ def build_problem(config: ExperimentConfig):
             eps = 0.01 * float(pairwise_distances(mlp_forward(spec, theta0, latents), data).mean())
         gan = GanObjective(spec, latents, data, epsilon=eps, sinkhorn_tol=config.sinkhorn_tol)
         problem = as_minmin_problem(gan)
-        x0 = theta0 if config.x0 is None else config.x0
+        problem.x0_default = theta0
     else:
         problem = _problems.get_problem(config.problem)
-        x0 = problem.x0_default if config.x0 is None else config.x0
-    return problem, problem.start_point(x0)
+    return problem, problem.x0_default if config.x0 is None else config.x0
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None):

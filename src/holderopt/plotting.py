@@ -58,10 +58,6 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _fmt_tick(v: float) -> str:
-    return f"{v:g}"
-
-
 def render_comparison(curves, log_y: bool = False) -> str:
     """Render one polyline per curve plus axes and a legend.
 
@@ -124,11 +120,11 @@ def render_comparison(curves, log_y: bool = False) -> str:
         )
         out.append(
             f'<text x="{xx:.2f}" y="{_MT + ph + 18}" font-family="sans-serif" font-size="11" '
-            f'text-anchor="middle">{_fmt_tick(t)}</text>'
+            f'text-anchor="middle">{t:g}</text>'
         )
     y_ticks = _decade_ticks(y_lo, y_hi) if log_y else _linear_ticks(ty_lo, ty_hi)
     for t in y_ticks:
-        yy = py(t) if log_y else _MT + ph * (1.0 - (t - ty_lo) / (ty_hi - ty_lo))
+        yy = py(t)
         if yy < _MT - 1e-6 or yy > _MT + ph + 1e-6:
             continue
         out.append(
@@ -136,7 +132,7 @@ def render_comparison(curves, log_y: bool = False) -> str:
         )
         out.append(
             f'<text x="{_ML - 8}" y="{yy + 4:.2f}" font-family="sans-serif" font-size="11" '
-            f'text-anchor="end">{_fmt_tick(t)}</text>'
+            f'text-anchor="end">{t:g}</text>'
         )
     out.append(
         f'<text x="{_ML + pw / 2:.2f}" y="{_H - 15}" font-family="sans-serif" font-size="12" '

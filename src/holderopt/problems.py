@@ -32,6 +32,14 @@ def _require_positive(field: str, value) -> None:
         raise ValueError(f"{field} must be positive and finite, got {value}")
 
 
+def _require_interval(field: str, value, low: float, high: float, interval: str, closed: bool = False) -> None:
+    """Raise ValueError naming ``field`` unless ``value`` is a real in ``interval``, which is (low, high),
+    or (low, high] when ``closed``; NaN and bools are not."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (low < value < high or closed and value == high)):
+        raise ValueError(f"{field} must lie in {interval}, got {value}")
+
+
 def _start_point(x0, dim: int, name: str) -> Array:
     """``x0`` as a fresh float vector; raises ValueError naming ``name`` unless it has ``dim`` finite entries."""
     x = np.array(x0, dtype=float, ndmin=1)
@@ -56,8 +64,7 @@ class HolderCertificate:
 
     def __post_init__(self):
         _require_positive("beta", self.beta)
-        if not (0.0 < self.nu <= 1.0):
-            raise ValueError(f"nu must lie in (0, 1], got {self.nu}")
+        _require_interval("nu", self.nu, 0.0, 1.0, "(0, 1]", closed=True)
 
 
 class SmoothObjective:
@@ -247,26 +254,28 @@ def make_quadratic_minmin(dim: int) -> MinMaxProblem:
     )
 
 
-def get_problem(problem_id: str) -> MinMaxProblem:
-    """Look up an analytic problem by id.
-
-    Ids: ``sqrt``, ``quadratic_saddle:D``, ``quadratic_minmin:D`` (D a positive decimal
-    integer with no sign, space or leading zero, so one id names one problem). The entropic-transport
-    generator problem is assembled by the harness because it needs sampled data and a seed.
-    """
+def _parse_problem_id(problem_id) -> Callable[[], MinMaxProblem]:
+    """The maker of the analytic problem an id names, its dimension bound; builds nothing. Ids: ``sqrt``,
+    ``quadratic_saddle:D`` and ``quadratic_minmin:D``, D a positive decimal integer with no sign, space or
+    leading zero, so one id names one problem. Any other id, a non-str one included, raises KeyError."""
     if isinstance(problem_id, str):
         if problem_id == "sqrt":
-            return make_sqrt_problem()
+            return make_sqrt_problem
         head, _, tail = problem_id.partition(":")
         if head in ("quadratic_saddle", "quadratic_minmin") and tail:
-            if not tail.isdecimal() or str(int(tail)) != tail:
+            if not tail.isdecimal() or str(int(tail)) != tail or tail == "0":
                 raise KeyError(f"bad dimension in problem id {problem_id!r}")
             maker = make_quadratic_saddle if head == "quadratic_saddle" else make_quadratic_minmin
-            return maker(int(tail))
+            return lambda: maker(int(tail))
     raise KeyError(
         f"unknown problem id {problem_id!r}; expected 'sqrt', 'quadratic_saddle:D', "
         "'quadratic_minmin:D' (the sinkhorn_gan problem is built by the harness)"
     )
+
+
+def get_problem(problem_id: str) -> MinMaxProblem:
+    """Build the analytic problem an id names; the harness builds ``sinkhorn_gan``, which needs data and a seed."""
+    return _parse_problem_id(problem_id)()
 
 
 def finite_diff_gradient(f, x, h: float = 1e-6) -> Array:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -183,17 +184,38 @@ def _gan_objective(**fields):
         (lambda v: HolderCertificate(beta=v, nu=1.0), "beta"),
         (lambda v: InnerAscentBudget(step_size=v), "step_size"),
         (lambda v: minmax_constant(make_sqrt_problem(), [1.0], gamma=v), "gamma"),
+        (lambda v: holder_gd(ValueFunctionView(make_sqrt_problem()), [1.0], HolderCertificate(1.0, 0.5), v), "gamma"),
         (lambda v: _gan_objective(epsilon=v), "epsilon"),
         (lambda v: _gan_objective(sinkhorn_tol=v), "sinkhorn_tol"),
         (lambda v: sinkhorn_solve(np.zeros((2, 2)), v), "epsilon"),
         (lambda v: sinkhorn_solve(np.zeros((2, 2)), 0.2, tol=v), "tol"),
     ],
-    ids=["gamma", "rho", "beta", "step_size", "minmax_constant", "gan_epsilon", "gan_tol", "epsilon", "tol"],
+    ids=[
+        "gamma", "rho", "beta", "step_size", "minmax_constant", "holder_gd", "gan_epsilon", "gan_tol", "epsilon", "tol"
+    ],
 )
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan, True, "0.1"])
 def test_positive_fields_refuse_zero_negatives_and_non_finite_values(make, field, value):
     """True would be taken as 1, and a string would fail in a comparison that names no field."""
     with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got {value}$"):
+        make(value)
+
+
+@pytest.mark.parametrize(
+    "make, field, interval",
+    [
+        (lambda v: BacktrackParams(alpha=v), "alpha", "(0, 1)"),
+        (lambda v: BacktrackParams(delta=v), "delta", "(0, 1)"),
+        (lambda v: BacktrackParams(delta_plus=v), "delta_plus", "(delta=0.25, 1)"),
+        (lambda v: HolderCertificate(beta=1.0, nu=v), "nu", "(0, 1]"),
+    ],
+    ids=["alpha", "delta", "delta_plus", "nu"],
+)
+@pytest.mark.parametrize("value", [0.0, 1.5, math.nan, True, None, "0.5"])
+def test_interval_fields_refuse_out_of_range_and_non_real_values(make, field, interval, value):
+    """Refused by name: True would be taken as 1, and None or a string would fail in a comparison
+    that names no field."""
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must lie in {interval}, got {value}')}$"):
         make(value)
 
 

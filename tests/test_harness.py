@@ -106,6 +106,7 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "problem",
     ["bogus", "quadratic_saddle:8_0", "quadratic_minmin:08", "quadratic_saddle:"]
+    + ["quadratic_saddle:0", "quadratic_minmin:0"]
     + [None, 3, pytest.param(b"sqrt", id="bytes")],
 )
 def test_problem_id_is_refused_at_construction(problem):
@@ -116,6 +117,12 @@ def test_problem_id_is_refused_at_construction(problem):
     with pytest.raises(KeyError) as registry:
         get_problem(problem)
     assert refused.value.args == registry.value.args
+
+
+@pytest.mark.parametrize("algorithm", [None, 3])
+def test_non_str_algorithm_is_an_unknown_one(algorithm):
+    with pytest.raises(ValueError, match=f"^unknown algorithm {algorithm!r}; choices: "):
+        ExperimentConfig(algorithm=algorithm)
 
 
 @pytest.mark.parametrize("field", ["epsilon", "sinkhorn_tol"])
@@ -272,10 +279,45 @@ def test_build_problem_defaults_and_override():
         build_problem(ExperimentConfig(problem="bogus"))
 
 
+def counted_build(calls):
+    """harness.build_problem, recording each build and each oracle call of the problem it returns in ``calls``."""
+    build = harness.build_problem
+
+    def build_problem(config):
+        calls.append("build")
+        problem, x0 = build(config)
+        for name in ("best_response", "approx_response", "loss", "grad_x"):
+            fn = getattr(problem, name)
+            if fn is not None:
+                setattr(problem, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+        return problem, x0
+
+    return build_problem
+
+
 @pytest.mark.parametrize("problem", ["quadratic_saddle:8", "sinkhorn_gan"])
-def test_build_problem_rejects_wrong_length_start(problem):
+def test_run_experiment_rejects_wrong_length_start(problem, tmp_path, monkeypatch):
+    """build_problem returns the start as configured; the driver refuses it before any oracle call or CSV."""
+    calls = []
+    monkeypatch.setattr(harness, "build_problem", counted_build(calls))
+    config = ExperimentConfig(problem=problem, algorithm="constant:0.1", sample_size=4, x0=[1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match=r"must have shape \(\d+,\), got \(3,\)"):
-        build_problem(ExperimentConfig(problem=problem, sample_size=4, x0=[1.0, 2.0, 3.0]))
+        run_experiment(config, out_dir=tmp_path / "runs")
+    assert calls == ["build"]
+    assert not (tmp_path / "runs").exists()
+
+
+def test_non_numeric_start_is_refused_when_the_run_starts(tmp_path, monkeypatch):
+    """ExperimentConfig keeps x0 as given, and the driver's start check refuses it, before any oracle call or CSV."""
+    x0 = ["a"]
+    config = ExperimentConfig(problem="sqrt", x0=x0)
+    assert config.x0 is x0
+    calls = []
+    monkeypatch.setattr(harness, "build_problem", counted_build(calls))
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        run_experiment(config, out_dir=tmp_path / "runs")
+    assert calls == ["build"]
+    assert not (tmp_path / "runs").exists()
 
 
 def test_build_gan_problem_dims_and_default_epsilon():
@@ -513,3 +555,16 @@ def test_cli_non_finite_start_exits_2_before_any_oracle_call(tmp_path, capsys, m
     assert "error: start point for problem quadratic_saddle:2 must be finite" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("algo, runs", [("backtrack_holder,constant:0.4", 2), ("holder_known", 1)])
+def test_cli_builds_and_checks_each_run_once(tmp_path, capsys, monkeypatch, algo, runs):
+    """ExperimentConfig parses the problem id without building it, and build_problem leaves the start
+    to the driver: one problem build and one start check per run."""
+    counts = {}
+    for name in ("get_problem", "_start_point"):
+        fn = getattr(problems_module, name)
+        counted = lambda *args, fn=fn, name=name: counts.update({name: counts.get(name, 0) + 1}) or fn(*args)
+        monkeypatch.setattr(problems_module, name, counted)
+    assert main(["--problem", "quadratic_saddle:8", "--algo", algo, "--out", str(tmp_path)]) == 0
+    assert counts == {"get_problem": runs, "_start_point": runs}

@@ -243,8 +243,8 @@ def test_registry_ids():
         get_problem("quadratic_saddle:x")
     with pytest.raises(KeyError):
         get_problem("quadratic_saddle:")
-    # int() takes each of these, but only the canonical decimal names the problem it builds
-    for tail in ("8_0", " 8", "+8", "08", "-1", "\uff18"):
+    # int() takes each of these, but only the canonical decimal names the problem it builds, and 0 names none
+    for tail in ("8_0", " 8", "+8", "08", "-1", "\uff18", "0"):
         for head in ("quadratic_saddle", "quadratic_minmin"):
             with pytest.raises(KeyError, match="bad dimension in problem id"):
                 get_problem(f"{head}:{tail}")
