@@ -23,6 +23,8 @@ problem's own, so plain descent on the value function and the min-max driver agr
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import numbers
 import os
@@ -119,16 +121,33 @@ class TrajectoryRecord:
 CSV_HEADER = "n,oracle_calls,f,grad_norm,step,k"
 
 
+# rows joined into one write; the writer holds at most this many at a time
+_CSV_CHUNK_ROWS = 1024
+
+
 def write_csv_atomic(path, header: str, rows) -> None:
-    """Write the ``header`` line and the formatted ``rows`` to ``path`` atomically
-    (temp file + rename)."""
+    """Write the ``header`` line and the formatted ``rows``, one line each, to
+    ``path`` atomically.
+
+    The lines go to ``<path>.tmp``, which is renamed onto ``path`` once all are
+    written. ``rows`` is consumed lazily, ``_CSV_CHUNK_ROWS`` lines per write, so
+    no whole CSV is held in memory. If an exception is raised before the
+    rename, by ``rows`` included, the temp file is removed and ``path`` keeps
+    what it held before.
+    """
     path = os.fspath(path)
     tmp = path + ".tmp"
-    lines = [header]
-    lines.extend(rows)
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    rows = iter(rows)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header + "\n")
+            while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
+                fh.write("\n".join(chunk) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 @dataclass

@@ -154,10 +154,10 @@ def _newton_row_scaling(K) -> np.ndarray | None:
     scaling returned is that exact update for the accepted column step. The
     step length t starts where max |t d_b| = _MAX_LOG_SCALING or at 1, and
     halves until the Armijo test on psi holds. None means a row of K sums to
-    at most exp(-_MAX_LOG_SCALING), the system is singular, d_b is not finite
-    or not an ascent direction (as at n = 1, where no column moves), or t fell
-    below _MIN_NEWTON_STEP, as the start does when max |d_b| exceeds about
-    5e10.
+    at most exp(-_MAX_LOG_SCALING), the system is singular, max |d_b| is not
+    finite or exceeds _MAX_LOG_SCALING / _MIN_NEWTON_STEP (about 5.4e10, where
+    the start of t lies below _MIN_NEWTON_STEP), d_b is not an ascent direction
+    (as at n = 1, where no column moves), or t fell below _MIN_NEWTON_STEP.
     """
     n = K.shape[0]
     r = K.sum(axis=1)
@@ -178,12 +178,17 @@ def _newton_row_scaling(K) -> np.ndarray | None:
         d = np.linalg.solve(schur, g)
     except np.linalg.LinAlgError:
         return None
-    # finite only when every entry of d is
+    # Past this bound t would start below its floor. Testing it first also
+    # refuses NaN and inf, and bounds the sums below (|g_j| < n), which must
+    # not overflow: sinkhorn_solve raises on overflow. At n = 1, d is empty.
+    d_max = np.abs(d).max(initial=0.0)
+    if not d_max <= _MAX_LOG_SCALING / _MIN_NEWTON_STEP:
+        return None
     slope = float(g.dot(d))
-    if not (math.isfinite(slope) and slope > 0.0):
+    if not slope > 0.0:
         return None
     d_b, total = np.append(d, 0.0), d.sum()
-    t = min(1.0, _MAX_LOG_SCALING / np.abs(d).max())
+    t = min(1.0, _MAX_LOG_SCALING / d_max)
     while t >= _MIN_NEWTON_STEP:
         # (K e^(t d_b))_i / r_i - 1; at -1 in float64 row i keeps no mass
         e = W.dot(np.expm1(t * d_b))
