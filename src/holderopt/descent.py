@@ -125,29 +125,30 @@ CSV_HEADER = "n,oracle_calls,f,grad_norm,step,k"
 _CSV_CHUNK_ROWS = 1024
 
 
-def write_csv_atomic(path, header: str, rows) -> None:
-    """Write the ``header`` line and the formatted ``rows``, one line each, to
-    ``path`` atomically.
-
-    The lines go to ``<path>.tmp``, which is renamed onto ``path`` once all are
-    written. ``rows`` is consumed lazily, ``_CSV_CHUNK_ROWS`` lines per write, so
-    no whole CSV is held in memory. If an exception is raised before the
-    rename, by ``rows`` included, the temp file is removed and ``path`` keeps
-    what it held before.
-    """
+def _write_atomic(path, pieces) -> None:
+    """The writer of every output file, CSV and SVG: the strings of ``pieces`` go in order
+    to ``<path>.tmp``, opened before ``pieces`` is consumed, which is then renamed onto
+    ``path``. On any exception, ``KeyboardInterrupt`` included, the temp file is removed
+    and the exception re-raised, so ``path`` keeps what it held before."""
     path = os.fspath(path)
     tmp = path + ".tmp"
-    rows = iter(rows)
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
-                fh.write("\n".join(chunk) + "\n")
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
+        with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def write_csv_atomic(path, header: str, rows) -> None:
+    """Write the ``header`` line and the formatted ``rows``, one line each, to
+    ``path`` with :func:`_write_atomic`. ``rows`` is consumed lazily,
+    ``_CSV_CHUNK_ROWS`` lines per write, so no whole CSV is held in memory."""
+    rows = iter(rows)
+    chunks = iter(lambda: list(itertools.islice(rows, _CSV_CHUNK_ROWS)), [])
+    _write_atomic(path, itertools.chain([header + "\n"], ("\n".join(c) + "\n" for c in chunks)))
 
 
 @dataclass

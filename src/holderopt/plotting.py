@@ -8,9 +8,10 @@ relies on for reproducibility checks.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
+
+from .descent import _write_atomic
 
 PALETTE = (
     "#1f77b4",
@@ -27,11 +28,26 @@ _W, _H = 840, 520
 _ML, _MR, _MT, _MB = 70, 210, 40, 55  # margins; right one holds the legend
 
 
-def _linear_ticks(lo: float, hi: float, target: int = 5):
-    if not (hi > lo):
+def _axis(lo: float, hi: float):
+    """The plotted range ``(lo, hi, s)`` of data from ``lo`` to ``hi``. Equal
+    ends span one unit up, or from lo to lo / 2 where a unit is below lo's
+    ulp. Coordinates are computed on values times ``s``: 1.0, or 2**-11 where
+    ``(hi - lo) * 1024`` overflows, so that any span of floats, scaled, times
+    the plot's width stays finite; scaling values that large by a power of
+    two is exact, so it changes no coordinate's bits."""
+    if hi == lo:
+        hi = lo + 1.0
+        if hi == lo:
+            lo, hi = sorted((lo, lo / 2))
+    return lo, hi, 1.0 if (hi - lo) * 1024 < math.inf else 2.0**-11
+
+
+def _linear_ticks(lo: float, hi: float, s: float, target: int = 5):
+    raw = (hi * s - lo * s) / max(target - 1, 1) / s
+    # no decimal step: hi <= lo, or a span of a few subnormals, where 10.0 ** -324 is 0
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 0.0
+    if mag == 0.0:
         return [lo]
-    raw = (hi - lo) / max(target - 1, 1)
-    mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
         if raw <= step:
@@ -41,13 +57,17 @@ def _linear_ticks(lo: float, hi: float, target: int = 5):
     t = first
     while t <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        # a step under half an ulp of t leaves it, and one past the largest float makes it inf
+        if not t < t + step < math.inf:
+            break
         t += step
     return ticks
 
 
 def _decade_ticks(lo: float, hi: float):
-    lo_e = math.floor(math.log10(lo))
-    hi_e = math.ceil(math.log10(hi))
+    # the powers of ten a float holds: 10.0 ** -324 is 0 and 10.0 ** 309 overflows
+    lo_e = max(math.floor(math.log10(lo)), -323)
+    hi_e = min(math.ceil(math.log10(hi)), 308)
     stride = max(1, (hi_e - lo_e) // 8)
     return [10.0**e for e in range(lo_e, hi_e + 1, stride)]
 
@@ -79,26 +99,22 @@ def render_comparison(curves, log_y: bool = False) -> str:
 
     xs = np.concatenate([c[1] for c in named])
     ys = np.concatenate([c[2] for c in named])
-    x_lo, x_hi = float(xs.min()), float(xs.max())
+    x_lo, x_hi, sx = _axis(float(xs.min()), float(xs.max()))
     y_lo, y_hi = float(ys.min()), float(ys.max())
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
     if log_y:
-        ty_lo, ty_hi = math.log10(y_lo), math.log10(y_hi)
+        ty_lo, ty_hi, sy = _axis(math.log10(y_lo), math.log10(y_hi))
     else:
-        ty_lo, ty_hi = y_lo, y_hi
-    if ty_hi == ty_lo:
-        ty_hi = ty_lo + 1.0
+        ty_lo, ty_hi, sy = _axis(y_lo, y_hi)
 
     pw = _W - _ML - _MR
     ph = _H - _MT - _MB
 
     def px(v):
-        return _ML + pw * (v - x_lo) / (x_hi - x_lo)
+        return _ML + pw * (v * sx - x_lo * sx) / (x_hi * sx - x_lo * sx)
 
     def py(v):
         tv = math.log10(v) if log_y else v
-        return _MT + ph * (1.0 - (tv - ty_lo) / (ty_hi - ty_lo))
+        return _MT + ph * (1.0 - (tv * sy - ty_lo * sy) / (ty_hi * sy - ty_lo * sy))
 
     out = []
     out.append(
@@ -113,7 +129,7 @@ def render_comparison(curves, log_y: bool = False) -> str:
     )
     out.append(f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + ph}" stroke="#333333" stroke-width="1"/>')
 
-    for t in _linear_ticks(x_lo, x_hi):
+    for t in _linear_ticks(x_lo, x_hi, sx):
         xx = px(t)
         out.append(
             f'<line x1="{xx:.2f}" y1="{_MT + ph}" x2="{xx:.2f}" y2="{_MT + ph + 5}" stroke="#333333" stroke-width="1"/>'
@@ -122,7 +138,7 @@ def render_comparison(curves, log_y: bool = False) -> str:
             f'<text x="{xx:.2f}" y="{_MT + ph + 18}" font-family="sans-serif" font-size="11" '
             f'text-anchor="middle">{t:g}</text>'
         )
-    y_ticks = _decade_ticks(y_lo, y_hi) if log_y else _linear_ticks(ty_lo, ty_hi)
+    y_ticks = _decade_ticks(y_lo, y_hi) if log_y else _linear_ticks(ty_lo, ty_hi, sy)
     for t in y_ticks:
         yy = py(t)
         if yy < _MT - 1e-6 or yy > _MT + ph + 1e-6:
@@ -163,9 +179,6 @@ def render_comparison(curves, log_y: bool = False) -> str:
 
 
 def write_svg(svg_text: str, path) -> None:
-    """Write SVG text atomically (temp file + rename)."""
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg_text)
-    os.replace(tmp, path)
+    """Write SVG text to ``path`` through :func:`holderopt.descent._write_atomic`:
+    a failed write leaves ``path`` as it was and no temp file."""
+    _write_atomic(path, (svg_text,))

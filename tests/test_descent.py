@@ -34,6 +34,7 @@ from holderopt import (
     sufficient_decrease_threshold,
 )
 from holderopt.descent import CSV_HEADER, CONVERGED, ITER_BUDGET, K_CAP_EXCEEDED, ORACLE_BUDGET, write_csv_atomic
+from holderopt.plotting import write_svg
 
 
 def quadratic(dim=1):
@@ -541,21 +542,54 @@ def test_csv_writer_bytes_match_one_join(tmp_path, count):
     assert path.read_bytes() == ("\n".join(["i,sq", *numbered_rows(count)]) + "\n").encode()
 
 
-@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-def test_failed_csv_write_keeps_the_earlier_file(tmp_path, error):
-    """Rows that raise part way, after whole chunks went to the temp file,
-    leave the file at path as it was and no temp file behind."""
+def write_rows_raising(path, error, monkeypatch):
+    """CSV rows that raise part way, after whole chunks went to the temp file."""
 
     def rows():
         yield from numbered_rows(1500)
         raise error
 
-    path = tmp_path / "run.csv"
-    path.write_bytes(b"earlier run\n")
+    write_csv_atomic(path, "i,sq", rows())
+
+
+def write_svg_raising_at_rename(path, error, monkeypatch):
+    """An SVG whose rename raises once the whole text is in the temp file."""
+
+    def replace(src, dst):
+        raise error
+
+    monkeypatch.setattr(os, "replace", replace)
+    write_svg("<svg>new</svg>\n", path)
+
+
+def write_svg_onto(path, error, monkeypatch):
+    """An SVG whose rename cannot replace what is at path."""
+    write_svg("<svg>new</svg>\n", path)
+
+
+@pytest.mark.parametrize(
+    "write, error, earlier",
+    [
+        (write_rows_raising, RuntimeError, b"earlier run\n"),
+        (write_rows_raising, KeyboardInterrupt, b"earlier run\n"),
+        (write_svg_raising_at_rename, KeyboardInterrupt, b"<svg>earlier</svg>\n"),
+        (write_svg_onto, IsADirectoryError, None),
+    ],
+    ids=["RuntimeError", "KeyboardInterrupt", "svg-KeyboardInterrupt", "svg-onto-directory"],
+)
+def test_failed_csv_write_keeps_the_earlier_file(tmp_path, monkeypatch, write, error, earlier):
+    """Both writers share one contract: a write that fails before its rename
+    leaves what was at path, a file byte for byte or a directory
+    (``earlier=None``), and no temp file behind."""
+    path = tmp_path / "out"
+    if earlier is None:
+        path.mkdir()
+    else:
+        path.write_bytes(earlier)
     with pytest.raises(error):
-        write_csv_atomic(path, "i,sq", rows())
-    assert path.read_bytes() == b"earlier run\n"
-    assert os.listdir(tmp_path) == ["run.csv"]
+        write(path, error, monkeypatch)
+    assert path.is_dir() if earlier is None else path.read_bytes() == earlier
+    assert os.listdir(tmp_path) == ["out"]
 
 
 def test_csv_writer_memory_stays_bounded(tmp_path):

@@ -424,6 +424,34 @@ def test_legend_labels_are_escaped_as_by_saxutils():
         assert f'font-size="11">{escape(label)}</text>' in svg
 
 
+BIG = float(np.finfo(float).max)
+
+
+@pytest.mark.parametrize(
+    "x, y, log_y",
+    [
+        ([1, 2], [-1.0 - 2**-52, -1.0], False),
+        ([1, 2], [-1e308, 1e308], False),
+        ([-BIG, BIG], [BIG, -BIG], False),
+        ([1e17], [1e308], False),
+        ([1, 2], [0.0, 5e-324], False),
+        ([1, 2, 3], [5e-324, 1.0, BIG], True),
+    ],
+    ids=["ulp-wide", "span-overflows", "largest-floats", "equal-above-2^53", "subnormal-span", "log-extremes"],
+)
+def test_render_comparison_returns_for_any_finite_curves(x, y, log_y):
+    """Finite curves at the edges of float arithmetic render with finite
+    coordinates: a tick step under half an ulp of the ticks, spans whose
+    difference or its product with the plot width overflows, equal ends where
+    adding one unit is lost to rounding, a span of one subnormal, and decades
+    beyond the float range."""
+    from holderopt.plotting import render_comparison
+
+    svg = render_comparison([("a", x, y)], log_y=log_y)
+    assert svg.count("<polyline") == 1
+    assert "nan" not in svg and "inf" not in svg
+
+
 def test_compare_and_plot_rejects_repeated_run_ids(tmp_path):
     configs = [
         ExperimentConfig(problem="sqrt", algorithm="constant:0.05"),
