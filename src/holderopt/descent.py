@@ -129,16 +129,20 @@ def _write_atomic(path, pieces) -> None:
     """The writer of every output file, CSV and SVG: the strings of ``pieces`` go in order
     to ``<path>.tmp``, opened before ``pieces`` is consumed, which is then renamed onto
     ``path``. On any exception, ``KeyboardInterrupt`` included, the temp file is removed
-    and the exception re-raised, so ``path`` keeps what it held before."""
+    and the exception re-raised, so ``path`` keeps what it held before. An ``OSError``
+    of the open or the rename names ``path``, not the removed temp file, and keeps its
+    errno and type."""
     path = os.fspath(path)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(pieces)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise type(exc)(exc.errno, exc.strerror, path).with_traceback(exc.__traceback__) from None
         raise
 
 

@@ -133,7 +133,10 @@ class ExperimentConfig:
     def run_id(self) -> str:
         parts = [self.problem.replace(":", "-"), self.algorithm]
         if self.algorithm == "constant":
-            parts.append(f"g{self.gamma:g}")
+            # six significant digits where they give the step back, else its shortest round-trip form,
+            # so that two different steps never share a run id and a CSV path
+            step = float(self.gamma)
+            parts.append("g" + (f"{step:g}" if float(f"{step:g}") == step else repr(step)))
         parts.append(f"seed{self.seed}")
         return "_".join(parts)
 
@@ -174,10 +177,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
 
 
 def compare_and_plot(configs, out_path, out_dir=None):
-    """Run every config and render one polyline per run into an SVG.
-
-    Returns the list of (run id, trajectory) pairs in input order. The y axis
-    switches to log scale when every objective value is positive.
+    """Run every config, writing its CSV to ``out_dir`` if given, then draw one
+    polyline per run with :func:`holderopt.plotting.render_comparison` into the
+    SVG at ``out_path``, whose y axis is a log scale when every objective is
+    positive. Returns the list of (run id, trajectory) pairs in input order.
     """
     configs = list(configs)
     if not configs:
@@ -185,15 +188,8 @@ def compare_and_plot(configs, out_path, out_dir=None):
     run_ids = [cfg.run_id() for cfg in configs]
     if len(set(run_ids)) < len(run_ids):
         raise ValueError(f"configs must have distinct run ids, got {', '.join(run_ids)}")
-    results = []
-    curves = []
-    for run_id, cfg in zip(run_ids, configs):
-        traj = run_experiment(cfg, out_dir=out_dir)
-        results.append((run_id, traj))
-        curves.append((run_id, traj.oracle_calls, traj.f_values))
-    log_y = all(np.all(c[2] > 0) for c in curves)
-    svg = render_comparison(curves, log_y=log_y)
-    write_svg(svg, out_path)
+    results = [(run_id, run_experiment(cfg, out_dir=out_dir)) for run_id, cfg in zip(run_ids, configs)]
+    write_svg(render_comparison([(run_id, t.oracle_calls, t.f_values) for run_id, t in results]), out_path)
     return results
 
 

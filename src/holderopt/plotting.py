@@ -42,8 +42,8 @@ def _axis(lo: float, hi: float):
     return lo, hi, 1.0 if (hi - lo) * 1024 < math.inf else 2.0**-11
 
 
-def _linear_ticks(lo: float, hi: float, s: float, target: int = 5):
-    raw = (hi * s - lo * s) / max(target - 1, 1) / s
+def _linear_ticks(lo: float, hi: float, s: float):
+    raw = (hi * s - lo * s) / 4 / s  # about five ticks, four steps apart
     # no decimal step: hi <= lo, or a span of a few subnormals, where 10.0 ** -324 is 0
     mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 0.0
     if mag == 0.0:
@@ -78,12 +78,21 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render_comparison(curves, log_y: bool = False) -> str:
+def _line(x1, y1, x2, y2, stroke="#333333", width="1") -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" stroke-width="{width}"/>'
+
+
+def _text(x, y, size, body, attrs="") -> str:
+    return f'<text x="{x}" y="{y}" font-family="sans-serif" font-size="{size}"{attrs}>{body}</text>'
+
+
+def render_comparison(curves) -> str:
     """Render one polyline per curve plus axes and a legend.
 
     ``curves`` is a sequence of (label, x, y) with equal-length 1-d arrays;
-    the axes are labelled "oracle calls" (x) and "objective" (y). With
-    ``log_y`` every y must be positive. Returns the SVG document text.
+    the axes are labelled "oracle calls" (x) and "objective" (y). The y axis
+    is a log scale exactly when every y is positive. Returns the SVG document
+    text.
     """
     if not curves:
         raise ValueError("need at least one curve")
@@ -93,12 +102,11 @@ def render_comparison(curves, log_y: bool = False) -> str:
         y = np.asarray(y, dtype=float)
         if x.size == 0 or x.size != y.size:
             raise ValueError(f"curve {label!r} needs matching nonempty x and y")
-        if log_y and np.any(y <= 0):
-            raise ValueError(f"curve {label!r} has nonpositive values; log scale impossible")
         named.append((str(label), x, y))
 
     xs = np.concatenate([c[1] for c in named])
     ys = np.concatenate([c[2] for c in named])
+    log_y = bool(np.all(ys > 0))
     x_lo, x_hi, sx = _axis(float(xs.min()), float(xs.max()))
     y_lo, y_hi = float(ys.min()), float(ys.max())
     if log_y:
@@ -116,49 +124,27 @@ def render_comparison(curves, log_y: bool = False) -> str:
         tv = math.log10(v) if log_y else v
         return _MT + ph * (1.0 - (tv * sy - ty_lo * sy) / (ty_hi * sy - ty_lo * sy))
 
-    out = []
-    out.append(
+    out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">'
-    )
-    out.append(f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="#ffffff"/>')
-
-    # axes
-    out.append(
-        f'<line x1="{_ML}" y1="{_MT + ph}" x2="{_ML + pw}" y2="{_MT + ph}" stroke="#333333" stroke-width="1"/>'
-    )
-    out.append(f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + ph}" stroke="#333333" stroke-width="1"/>')
-
+        f'viewBox="0 0 {_W} {_H}">',
+        f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="#ffffff"/>',
+        _line(_ML, _MT + ph, _ML + pw, _MT + ph),  # axes
+        _line(_ML, _MT, _ML, _MT + ph),
+    ]
     for t in _linear_ticks(x_lo, x_hi, sx):
-        xx = px(t)
-        out.append(
-            f'<line x1="{xx:.2f}" y1="{_MT + ph}" x2="{xx:.2f}" y2="{_MT + ph + 5}" stroke="#333333" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{xx:.2f}" y="{_MT + ph + 18}" font-family="sans-serif" font-size="11" '
-            f'text-anchor="middle">{t:g}</text>'
-        )
+        xx = f"{px(t):.2f}"
+        out.append(_line(xx, _MT + ph, xx, _MT + ph + 5))
+        out.append(_text(xx, _MT + ph + 18, 11, f"{t:g}", ' text-anchor="middle"'))
     y_ticks = _decade_ticks(y_lo, y_hi) if log_y else _linear_ticks(ty_lo, ty_hi, sy)
     for t in y_ticks:
         yy = py(t)
         if yy < _MT - 1e-6 or yy > _MT + ph + 1e-6:
             continue
-        out.append(
-            f'<line x1="{_ML - 5}" y1="{yy:.2f}" x2="{_ML}" y2="{yy:.2f}" stroke="#333333" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_ML - 8}" y="{yy + 4:.2f}" font-family="sans-serif" font-size="11" '
-            f'text-anchor="end">{t:g}</text>'
-        )
-    out.append(
-        f'<text x="{_ML + pw / 2:.2f}" y="{_H - 15}" font-family="sans-serif" font-size="12" '
-        f'text-anchor="middle">oracle calls</text>'
-    )
-    yy = _MT + ph / 2
-    out.append(
-        f'<text x="18" y="{yy:.2f}" font-family="sans-serif" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 18 {yy:.2f})">objective</text>'
-    )
+        out.append(_line(_ML - 5, f"{yy:.2f}", _ML, f"{yy:.2f}"))
+        out.append(_text(_ML - 8, f"{yy + 4:.2f}", 11, f"{t:g}", ' text-anchor="end"'))
+    out.append(_text(f"{_ML + pw / 2:.2f}", _H - 15, 12, "oracle calls", ' text-anchor="middle"'))
+    yy = f"{_MT + ph / 2:.2f}"
+    out.append(_text(18, yy, 12, "objective", f' text-anchor="middle" transform="rotate(-90 18 {yy})"'))
 
     for i, (label, x, y) in enumerate(named):
         color = PALETTE[i % len(PALETTE)]
@@ -167,12 +153,9 @@ def render_comparison(curves, log_y: bool = False) -> str:
 
     lx = _W - _MR + 20
     for i, (label, _, _) in enumerate(named):
-        color = PALETTE[i % len(PALETTE)]
         ly = _MT + 14 + 20 * i
-        out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 24}" y2="{ly}" stroke="{color}" stroke-width="1.5"/>')
-        out.append(
-            f'<text x="{lx + 30}" y="{ly + 4}" font-family="sans-serif" font-size="11">{_escape(label)}</text>'
-        )
+        out.append(_line(lx, ly, lx + 24, ly, PALETTE[i % len(PALETTE)], "1.5"))
+        out.append(_text(lx + 30, ly + 4, 11, _escape(label)))
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -580,14 +580,17 @@ def write_svg_onto(path, error, monkeypatch):
 def test_failed_csv_write_keeps_the_earlier_file(tmp_path, monkeypatch, write, error, earlier):
     """Both writers share one contract: a write that fails before its rename
     leaves what was at path, a file byte for byte or a directory
-    (``earlier=None``), and no temp file behind."""
+    (``earlier=None``), and no temp file behind; an OSError names path, not
+    the temp file it removed."""
     path = tmp_path / "out"
     if earlier is None:
         path.mkdir()
     else:
         path.write_bytes(earlier)
-    with pytest.raises(error):
+    with pytest.raises(error) as caught:
         write(path, error, monkeypatch)
+    if issubclass(error, OSError):
+        assert str(path) in str(caught.value) and ".tmp" not in str(caught.value)
     assert path.is_dir() if earlier is None else path.read_bytes() == earlier
     assert os.listdir(tmp_path) == ["out"]
 

@@ -79,6 +79,28 @@ def test_run_id_formats():
     assert cfg.run_id() == "quadratic_saddle-8_constant_g0.05_seed7"
 
 
+@pytest.mark.parametrize(
+    "step, name",
+    [
+        ("0.01", "g0.01"),
+        ("0.05", "g0.05"),
+        ("0.1", "g0.1"),
+        ("0.2", "g0.2"),
+        ("0.4", "g0.4"),
+        ("1e-5", "g1e-05"),
+        ("0.050000001", "g0.050000001"),
+        ("0.1234567", "g0.1234567"),
+    ],
+)
+def test_run_id_names_the_fixed_step_it_runs(step, name):
+    """Six significant digits name the step where they give it back, as for
+    every step the docs and demos use; a longer step is named by its shortest
+    round-trip form, so two different steps never share a run id."""
+    run_id = ExperimentConfig(algorithm="constant:" + step).run_id()
+    assert run_id == f"sqrt_constant_{name}_seed0"
+    assert float(run_id.split("_g")[1].removesuffix("_seed0")) == float(step)
+
+
 def test_algorithm_shorthand_pins_gamma():
     cfg = ExperimentConfig(algorithm="constant:0.05")
     assert cfg.algorithm == "constant"
@@ -428,28 +450,48 @@ BIG = float(np.finfo(float).max)
 
 
 @pytest.mark.parametrize(
-    "x, y, log_y",
+    "x, y",
     [
-        ([1, 2], [-1.0 - 2**-52, -1.0], False),
-        ([1, 2], [-1e308, 1e308], False),
-        ([-BIG, BIG], [BIG, -BIG], False),
-        ([1e17], [1e308], False),
-        ([1, 2], [0.0, 5e-324], False),
-        ([1, 2, 3], [5e-324, 1.0, BIG], True),
+        ([1, 2], [-1.0 - 2**-52, -1.0]),
+        ([1, 2], [-1e308, 1e308]),
+        ([-BIG, BIG], [BIG, -BIG]),
+        ([1e17], [-1e308]),
+        ([1, 2], [0.0, 5e-324]),
+        ([1, 2, 3], [5e-324, 1.0, BIG]),
     ],
     ids=["ulp-wide", "span-overflows", "largest-floats", "equal-above-2^53", "subnormal-span", "log-extremes"],
 )
-def test_render_comparison_returns_for_any_finite_curves(x, y, log_y):
+def test_render_comparison_returns_for_any_finite_curves(x, y):
     """Finite curves at the edges of float arithmetic render with finite
     coordinates: a tick step under half an ulp of the ticks, spans whose
     difference or its product with the plot width overflows, equal ends where
     adding one unit is lost to rounding, a span of one subnormal, and decades
-    beyond the float range."""
+    beyond the float range (the one case whose every y is positive, so the
+    one on a log scale)."""
     from holderopt.plotting import render_comparison
 
-    svg = render_comparison([("a", x, y)], log_y=log_y)
+    svg = render_comparison([("a", x, y)])
     assert svg.count("<polyline") == 1
     assert "nan" not in svg and "inf" not in svg
+
+
+@pytest.mark.parametrize(
+    "stop, digest",
+    [
+        (StopRule(max_iters=5), "b5967c6ea9f2e9de4009b57e4756ff3e4b90e1e4a24a2b6d426a5653a3fac49a"),
+        (StopRule(), "a7d6662e5d79b7e6eae8d36f34b8891f6a75f3d2976abc9a287feb58b931cf95"),
+    ],
+    ids=["positive-log-scale", "reaches-zero-linear-scale"],
+)
+def test_comparison_svg_bytes_are_pinned(tmp_path, stop, digest):
+    """The SVG of two fixed steps on sqrt, byte for byte: stopped after five
+    iterations every objective is positive and the y axis is a log scale; run
+    to convergence both reach -0.0 and it is linear."""
+    configs = [ExperimentConfig(problem="sqrt", algorithm=a, stop=stop) for a in ("constant:0.05", "constant:0.2")]
+    results = compare_and_plot(configs, tmp_path / "c.svg")
+    f_min = min(traj.f_values.min() for _, traj in results)
+    assert (f_min > 0) == (stop.max_iters == 5)
+    assert hashlib.sha256((tmp_path / "c.svg").read_bytes()).hexdigest() == digest
 
 
 def test_compare_and_plot_rejects_repeated_run_ids(tmp_path):
