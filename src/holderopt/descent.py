@@ -271,6 +271,7 @@ def _checked_norm(value: float, grad: np.ndarray, shape: tuple, iteration: int) 
     return grad_norm
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _descend(obj, x0, stop, step_fn, params=None, header=CSV_HEADER, *, nonmonotone=False, frozen=False):
     """The one descent loop behind every driver; returns the run's :class:`Trajectory`,
     whose CSV carries ``header``.
@@ -296,9 +297,12 @@ def _descend(obj, x0, stop, step_fn, params=None, header=CSV_HEADER, *, nonmonot
 
     Budget rule: stop with :data:`ORACLE_BUDGET` when the next step needs an
     oracle call and none is left. A frozen search needs none, so it still
-    takes its step and closes on ``obj.frozen(x)``, evaluated with the
-    last response. ``k > params.k_max`` stops with :data:`K_CAP_EXCEEDED`; a
-    non-finite value, gradient or gradient norm raises :class:`NumericError`.
+    takes its step, and the loop's next pass closes on ``obj.frozen(x)``,
+    evaluated with the last response. ``k > params.k_max`` stops with :data:`K_CAP_EXCEEDED`.
+    Each record is made at one site and the trajectory returned at another, that close
+    included. Floating-point overflow and invalid operations warn nowhere in the loop (a
+    solve may set its own policy): a non-finite value, gradient or gradient norm raises
+    :class:`NumericError` naming its iteration.
     """
     stop = stop or StopRule()
     grad_tol, max_iters, max_calls = stop.grad_tol, stop.max_iters, stop.max_oracle_calls
@@ -306,17 +310,14 @@ def _descend(obj, x0, stop, step_fn, params=None, header=CSV_HEADER, *, nonmonot
         delta, delta_plus, k_max = params.delta, params.delta_plus, params.k_max
     x = obj.start_point(x0)
     shape, evaluate = x.shape, obj.value_and_grad
+    records, status, n, k = [], None, 0, 1 if nonmonotone else 0
     value, grad = evaluate(x)
     calls = 1
     gn = _checked_norm(value, grad, shape, 0)
-    records = []
-    record = records.append
-    n = 0
-    k = 1 if nonmonotone else 0
     while True:
         if frozen:
             k = 0
-        status = CONVERGED if gn <= grad_tol else ITER_BUDGET if n >= max_iters else None
+        status = status or (CONVERGED if gn <= grad_tol else ITER_BUDGET if n >= max_iters else None)
         decrement = nonmonotone and k > 0
         while status is None:
             if not frozen and calls >= max_calls:
@@ -346,10 +347,9 @@ def _descend(obj, x0, stop, step_fn, params=None, header=CSV_HEADER, *, nonmonot
             if k > k_max:
                 status = K_CAP_EXCEEDED
 
-        if status is not None:
-            record(TrajectoryRecord(n, calls, x, value, gn, 0.0, k))
+        records.append(TrajectoryRecord(n, calls, x, value, gn, 0.0 if status else step, k))
+        if status:
             return Trajectory(records, status, header)
-        record(TrajectoryRecord(n, calls, x, value, gn, step, k))
         x = trial
         n += 1
         if not frozen:
@@ -359,9 +359,9 @@ def _descend(obj, x0, stop, step_fn, params=None, header=CSV_HEADER, *, nonmonot
             calls += 1
             gn = _checked_norm(value, grad, shape, n)
         else:
+            # no call left: the loop's next pass closes on x, evaluated with the last response
             value, grad = obj.frozen(x)
-            record(TrajectoryRecord(n, calls, x, value, _checked_norm(value, grad, shape, n), 0.0, 0))
-            return Trajectory(records, ORACLE_BUDGET, header)
+            gn, status = _checked_norm(value, grad, shape, n), ORACLE_BUDGET
 
 
 def holder_gd(
@@ -377,6 +377,8 @@ def holder_gd(
     global bound, as the caller asserts it; nothing checks it against ``obj``.
     One oracle call per iteration; records carry k = 0.
     """
+    if not isinstance(cert, HolderCertificate):
+        raise ValueError(f"holder_gd needs a smoothness certificate, got {cert!r}")
     if gamma is None:
         gamma = optimal_holder_gamma(cert)
     # validate gamma once up front so a bad range fails before any oracle call

@@ -9,6 +9,7 @@ so the only expensive oracle is one Sinkhorn solve per evaluation at a new θ.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -246,9 +247,12 @@ class GanObjective:
         return self._entry(theta).C
 
     def best_response(self, theta) -> np.ndarray:
-        """The read-only flat optimal plan at θ: the kept one, or one Sinkhorn solve started from the last one's."""
+        """The read-only flat optimal plan at θ: the kept one, or one Sinkhorn solve started from the last one's.
+        A cost that is not finite, from a diverged generator pass, gets no solve but a NaN plan, loss and gradient."""
         entry = self._entry(theta)
-        if entry.plan is None:
+        if entry.plan is None and not math.isfinite(entry.C.max()):
+            entry.plan, entry.value, entry.grad = np.full(entry.C.size, np.nan), np.nan, entry.theta * np.nan
+        elif entry.plan is None:
             result = sinkhorn_solve(entry.C, self.epsilon, tol=self.sinkhorn_tol, dual_col=self._dual_col)
             self._dual_col = result.dual_col - result.dual_col[-1]
             P = result.plan

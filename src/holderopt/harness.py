@@ -32,22 +32,16 @@ from .problems import ValueFunctionView, _require_count, _require_positive
 from .rng import STREAM_DATA, STREAM_LATENT, RandomStream, _require_u64
 
 
-def _holder_known(problem, x0, config):
-    if problem.certificate is None:
-        raise ValueError(f"problem {config.problem!r} carries no smoothness certificate")
-    return holder_gd(ValueFunctionView(problem), x0, problem.certificate, gamma=config.gamma, stop=config.stop)
-
-
 # algorithm -> run(problem, x0, config). Each run looks its driver up among this module's
 # globals when it is called: perfbench/tracing.py times a driver by replacing its name here,
 # and a table of the driver functions themselves would keep running the originals.
 _RUNS = {
-    "holder_known": _holder_known,
-    "backtrack_holder": lambda problem, x0, c: minmax_backtrack(problem, x0, c.params, c.stop),
-    "nonmonotone_holder": lambda problem, x0, c: minmin_backtrack_nonmonotone(problem, x0, c.params, c.stop),
-    "nonmonotone_armijo": lambda problem, x0, c: minmin_armijo_nonmonotone(problem, x0, c.params, c.stop),
-    "heuristic_minmax": lambda problem, x0, c: minmax_heuristic(problem, x0, c.params, c.inner, c.stop),
-    "constant": lambda problem, x0, c: minmax_constant(problem, x0, c.gamma, c.stop),
+    "holder_known": lambda p, x0, c: holder_gd(ValueFunctionView(p), x0, p.certificate, c.gamma, c.stop),
+    "backtrack_holder": lambda p, x0, c: minmax_backtrack(p, x0, c.params, c.stop),
+    "nonmonotone_holder": lambda p, x0, c: minmin_backtrack_nonmonotone(p, x0, c.params, c.stop),
+    "nonmonotone_armijo": lambda p, x0, c: minmin_armijo_nonmonotone(p, x0, c.params, c.stop),
+    "heuristic_minmax": lambda p, x0, c: minmax_heuristic(p, x0, c.params, c.inner, c.stop),
+    "constant": lambda p, x0, c: minmax_constant(p, x0, c.gamma, c.stop),
 }
 ALGORITHMS = tuple(_RUNS)
 

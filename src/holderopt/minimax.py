@@ -2,9 +2,9 @@
 
 Every driver minimizes the value function g(x) = L(x, y*(x)) while only ever
 calling the problem's inner oracle; one oracle call is one unit of
-``oracle_calls`` regardless of how much work the inner solve does. Every
-driver checks its preconditions and is then one call of the descent loop of
-:mod:`holderopt.descent`, which checks the start once with the problem's ``start_point`` and
+``oracle_calls`` regardless of how much work the inner solve does. Every driver checks its
+problem's sense and oracle with :func:`holderopt.problems._require` and is then one call of the
+descent loop of :mod:`holderopt.descent`, which checks the start once with ``start_point`` and
 returns the :class:`holderopt.descent.Trajectory`, whose CSV carries :data:`MINMAX_CSV_HEADER`.
 The exact-oracle drivers evaluate through the problem's ``value_and_grad``,
 which is also that of :class:`holderopt.problems.ValueFunctionView`, so :func:`minmax_backtrack`
@@ -30,7 +30,7 @@ from .descent import BacktrackParams, StopRule, Trajectory, _descend, backtrack_
 
 # not called here; perfbench/tracing.py patches this name on this module to time CSV writes
 from .descent import write_csv_atomic  # noqa: F401
-from .problems import MinMaxProblem, _require_count, _require_positive
+from .problems import MinMaxProblem, _require, _require_count, _require_positive
 
 
 @dataclass
@@ -75,14 +75,6 @@ class _ApproxOracle:
 
     def frozen(self, x):
         return self.frozen_loss(x), np.asarray(self.problem.grad_x(x, self.y), dtype=float)
-
-
-def _require(problem: MinMaxProblem, sense: Optional[str], oracle: str, driver: str) -> None:
-    """Raise ValueError unless ``problem`` has ``sense`` (either, when None) and sets ``oracle``."""
-    if sense is not None and problem.sense != sense:
-        raise ValueError(f"{driver} expects a {sense} problem, got {problem.sense}")
-    if getattr(problem, oracle) is None:
-        raise ValueError(f"{driver} needs the {oracle} oracle")
 
 
 def minmax_backtrack(

@@ -133,6 +133,14 @@ class MinMaxProblem:
         return self.loss(x, y), np.asarray(self.grad_x(x, y), dtype=float)
 
 
+def _require(problem: MinMaxProblem, sense: Optional[str], oracle: str, who: str) -> None:
+    """Raise ValueError naming ``who`` unless ``problem`` has ``sense`` (either, when None) and sets ``oracle``."""
+    if sense is not None and problem.sense != sense:
+        raise ValueError(f"{who} expects a {sense} problem, got {problem.sense}")
+    if getattr(problem, oracle) is None:
+        raise ValueError(f"{who} needs the {oracle} oracle")
+
+
 class ValueFunctionView(SmoothObjective):
     """g(x) = L(x, y*(x)) as a SmoothObjective, gradient via the envelope identity.
 
@@ -142,10 +150,8 @@ class ValueFunctionView(SmoothObjective):
     """
 
     def __init__(self, problem: MinMaxProblem):
-        if problem.best_response is None:
-            raise ValueError("value function view needs an exact best_response")
-        name = f"value({problem.name})" if problem.name else "value"
-        super().__init__(problem.dim_x, problem.value_and_grad, name=name)
+        _require(problem, None, "best_response", "value function view")
+        super().__init__(problem.dim_x, problem.value_and_grad)
         self.start_point, self.value_and_grad = problem.start_point, problem.value_and_grad
         self.certificate = problem.certificate
 

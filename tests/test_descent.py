@@ -307,8 +307,15 @@ def test_descent_drivers_refuse_a_bad_start_before_any_oracle_call(kind, run, x0
     assert calls == []
 
 
+@pytest.mark.parametrize("gamma", [None, 0.5])
+def test_holder_gd_refuses_a_missing_certificate_before_any_oracle_call(gamma):
+    calls = []
+    with pytest.raises(ValueError, match="certificate"):
+        holder_gd(counted_objectives(calls)["view"], [1.0], None, gamma=gamma)
+    assert calls == []
+
+
 # here and below, holder_gd at nu = 1 is the fixed step gamma, for any gamma < 2 / beta
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_fixed_step_divergence_raises():
     with pytest.raises(NumericError) as info:
         holder_gd(quadratic(), [1.0], HolderCertificate(0.1, 1.0), gamma=2.5)

@@ -1,6 +1,7 @@
 """Dense generator forward/backward passes and the transport fitting objective."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from holderopt import (
     GanObjective,
     MlpSpec,
+    NumericError,
     ValueFunctionView,
     as_minmin_problem,
     entropic_objective,
     init_params,
+    minmax_constant,
     mlp_backward,
     mlp_forward,
     pairwise_distances,
@@ -283,21 +286,33 @@ def test_one_oracle_call_evaluates_the_generator_once(monkeypatch):
 
 
 def test_kept_pass_gradient_equals_the_public_backward():
-    """After evaluations at θ1 and θ2, grad_x at θ1, and then at θ2, is bit for bit
-    ``mlp_backward`` on a fresh forward pass, with the upstream the plan gives."""
+    """After evaluations at θ1 and θ2, grad_x at θ1, then at θ2, each at its own plan, and then at
+    θ1 with θ2's plan, which is not the one kept there, is bit for bit ``mlp_backward`` on a fresh
+    forward pass, with the upstream the plan gives."""
     from holderopt.gan import _DIST_FLOOR
 
     gan = make_small_gan()
     n = gan.data.shape[0]
     thetas = [init_params(gan.spec, seed=3), init_params(gan.spec, seed=4)]
     plans = [gan.best_response(theta) for theta in thetas]
-    for theta, p in zip(thetas, plans):
+    for theta, p in [*zip(thetas, plans), (thetas[0], plans[1])]:
         Y = mlp_forward(gan.spec, theta, gan.latents)
         D = pairwise_distances(Y, gan.data)
         W = p.reshape(n, n) / np.where(D < _DIST_FLOOR, np.inf, D)
         upstream = Y * W.sum(axis=1)[:, None] - W @ gan.data
         expected = mlp_backward(gan.spec, theta, gan.latents, upstream)
         assert gan.grad_x(theta, p).tobytes() == expected.tobytes()
+
+
+def test_diverging_generator_step_raises_numeric_error_naming_its_iteration():
+    """A step so large that the generator's forward pass overflows gives a cost that is not finite:
+    the driver raises NumericError for the step whose trial diverged, with no warning."""
+    gan = make_small_gan()
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(NumericError) as info:
+        warnings.simplefilter("always")
+        minmax_constant(as_minmin_problem(gan), init_params(gan.spec, seed=0), gamma=1e300)
+    assert caught == []
+    assert info.value.iteration == 0
 
 
 def evaluate_along(gan, thetas):

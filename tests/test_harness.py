@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -573,14 +575,37 @@ def test_cli_malformed_problem_id_exits_2_and_writes_nothing(tmp_path, capsys):
 
 
 def test_cli_divergent_inner_budget_exits_2(tmp_path, capsys):
-    """An inner step size above 2 overflows the inner response: a reported error, not a traceback."""
+    """An inner step size above 2 overflows the inner response: a reported error, not a traceback or a warning."""
     path = tmp_path / "exp.cfg"
     path.write_text(
         "problem = quadratic_saddle:8\nalgorithm = heuristic_minmax\ninner_steps = 2000\ninner_step_size = 3.0\n"
     )
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["--config", str(path), "--out", str(tmp_path / "runs")]) == 2
+    assert caught == []
     assert capsys.readouterr().err.startswith("error: oracle returned a non-finite value")
+
+
+# a fixed step that diverges on an analytic problem, and a generator step so large that its
+# forward pass overflows: each exits 2 with one error line that names the iteration
+DIVERGING_CONFIGS = {
+    "fixed_step": "problem = quadratic_minmin:1\nalgorithm = constant:10\n",
+    "generator": "problem = sinkhorn_gan\nalgorithm = constant\ngamma = 1e300\nsample_size = 4\n"
+    "max_oracle_calls = 10\n",
+}
+
+
+@pytest.mark.parametrize("text", DIVERGING_CONFIGS.values(), ids=DIVERGING_CONFIGS.keys())
+def test_cli_diverging_run_prints_only_its_error_line(tmp_path, capsys, text):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", str(path), "--out", str(tmp_path / "runs")]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: oracle returned a non-finite value, .* \(iteration \d+\)\n", err)
 
 
 def test_cli_step_shorthand_off_constant_exits_2(tmp_path, capsys):
