@@ -24,6 +24,7 @@ problem's own, so plain descent on the value function and the min-max driver agr
 from __future__ import annotations
 
 import contextlib
+import copyreg
 import itertools
 import math
 import numbers
@@ -53,6 +54,10 @@ class NumericError(RuntimeError):
     def __init__(self, message: str, iteration: int):
         super().__init__(f"{message} (iteration {iteration})")
         self.iteration = iteration
+
+    def __reduce__(self):
+        # rebuilt from its args and fields without __init__, so that it crosses a process boundary
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 @dataclass

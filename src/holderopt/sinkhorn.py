@@ -10,10 +10,14 @@ would be slow; from then on each iteration takes a Newton column step, then
 the exact row update for it: the column part of a damped Newton step on the
 joint dual (Brauer, Clason, Lorenz & Wirth, "A Sinkhorn-Newton method for
 entropic optimal transport", arXiv:1710.06635, 2017), damped on the dual
-after an exact row update. Where a Newton step fails, that iteration takes a
-plain sweep, and the rule decides again. Before a scaling leaves a fixed
-range it is absorbed: the sweep runs in the log domain, its potentials become
-the new ``U, V`` and ``K`` is rebuilt from them. The optimal plan is the
+after an exact row update. The step is taken on the current plan
+``a K b``, with ``K`` left as it is, and its row update is added to
+``log a``. Where a Newton step fails, that iteration takes a plain sweep, and
+the rule decides again. Before a scaling leaves a fixed range it is absorbed:
+the sweep runs in the log domain, its potentials become the new ``U, V`` and
+``K`` is rebuilt from them. A solve of plain sweeps returns ``a K b``; one
+that took a Newton step returns the plan built from its potentials, since
+``a K b`` drifts from them where ``K`` underflowed. The optimal plan is the
 gradient of the transport objective with respect to the cost matrix.
 
 A solve may start from a given column potential. :class:`holderopt.gan.GanObjective`
@@ -23,6 +27,7 @@ search solve nearby costs.
 
 from __future__ import annotations
 
+import copyreg
 import math
 from dataclasses import dataclass
 
@@ -32,21 +37,38 @@ from .problems import _require_count, _require_positive
 
 
 class SinkhornError(RuntimeError):
-    """Raised when the scaling iterations do not reach the marginal tolerance."""
+    """Raised when the scaling iterations do not reach the marginal tolerance.
 
-    def __init__(self, message: str, marginal_error: float):
+    ``sweeps``, ``newton_steps`` and ``newton_failures`` count the work done
+    before the failure, as on :class:`TransportPlan`; ``sweeps`` includes an
+    iteration that failed part-way.
+    """
+
+    def __init__(
+        self, message: str, marginal_error: float, sweeps: int = 0, newton_steps: int = 0, newton_failures: int = 0
+    ):
         super().__init__(message)
         self.marginal_error = marginal_error
+        self.sweeps = sweeps
+        self.newton_steps = newton_steps
+        self.newton_failures = newton_failures
+
+    def __reduce__(self):
+        # rebuilt from its args and fields without __init__, so that it crosses a process boundary
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 @dataclass
 class TransportPlan:
     """Converged plan with its dual certificates.
 
-    ``sweeps`` counts iterations, plain sweeps and Newton steps alike, and
-    ``dual_values`` holds the concave dual objective after each of them. Every
-    update is an exact block maximization or a Newton step that passes the
-    Armijo test, so the values never decrease, which is a useful health check.
+    ``sweeps`` counts iterations, plain sweeps and Newton steps alike;
+    ``newton_steps`` counts the accepted Newton steps among them, and
+    ``newton_failures`` the Newton attempts whose iteration fell back to a
+    plain sweep. ``dual_values`` holds the concave dual objective after each
+    iteration. Every update is an exact block maximization or a Newton step
+    that passes the Armijo test, so the values never decrease, which is a
+    useful health check.
     """
 
     plan: np.ndarray
@@ -56,6 +78,8 @@ class TransportPlan:
     marginal_error: float
     sweeps: int
     dual_values: np.ndarray
+    newton_steps: int = 0
+    newton_failures: int = 0
 
 
 # a kernel sweep keeps the scalings a and b within exp(+-_MAX_LOG_SCALING), so a
@@ -72,14 +96,15 @@ _MIN_NEWTON_STEP = 2.0**-30
 def _sweeps_before_newton(n: int) -> float:
     """The sweeps left, at the last contraction rate, above which Newton takes over.
 
-    That is the cost of two Newton steps. One step, a fold of the scalings
-    into the kernel, an (n-1) x (n-1) solve and the exact row update, costs
-    at most about as much as 4 + n^2 / 512 plain sweeps on one core
-    (measured on clouds at eps 0.05, one BLAS thread, near convergence, on a
-    noisy host: 3 to 8 at n <= 32, 6 to 10 at 64, 26 to 34 at 128, 42 to 74
-    at 192): a Newton solve takes a handful of steps where plain sweeps would
-    take hundreds, while solves that converge in a few dozen sweeps never
-    switch.
+    That is the cost of two Newton steps. One step, the scaled plan a K b,
+    an (n-1) x (n-1) solve and the exact row update, costs at most about as
+    much as 4 + n^2 / 512 plain sweeps on one core (measured on clouds at
+    eps 0.05, one BLAS thread, near convergence, on a noisy 2-core host: 3 to
+    11 at n <= 32, 6 to 11 at 64, 16 to 32 at 128, 29 to 60 at 192, where
+    folding the scalings into a rebuilt kernel instead read 6 to 10, 12 to
+    13, 26 to 28 and 45 to 64): a Newton solve takes a handful of steps
+    where plain sweeps would take hundreds, while solves that converge in a
+    few dozen sweeps never switch.
     """
     return 8.0 + n * n / 256.0
 
@@ -128,8 +153,13 @@ def _kernel(U, V, C, epsilon, work) -> np.ndarray:
     return np.exp(work, out=work)
 
 
-def _newton_row_scaling(K) -> np.ndarray | None:
-    """log a after one damped Newton column step from a = b = 1, or None.
+def _newton_row_scaling(K, r, row_starts) -> np.ndarray | None:
+    """The log row update after one damped Newton column step on the plan K, or None.
+
+    ``K`` is the current plan, with row sums ``r``, and the step starts from
+    its scalings a = b = 1. ``row_starts`` is ``np.arange(0, n * n, n)``, the
+    flat index of each row's first entry, made once by a caller that steps
+    many times. ``K`` is left as it was.
 
     The step d_b is the column part of the Newton step on the joint dual, with
     the gauge fixed by d_b[-1] = 0; in units of eps the dual's gradient is
@@ -138,7 +168,9 @@ def _newton_row_scaling(K) -> np.ndarray | None:
     K' = K[:, :-1] and c' = c[:-1]. Eliminating the row part leaves one
     (n-1) x (n-1) system S d_b' = 1 - W'.sum(axis=0) on the Schur complement
     S = diag(c') - K'^T W', with W = K / r by rows and W' = W[:, :-1]; its
-    right-hand side is the column error after an exact row update.
+    right-hand side is the column error after an exact row update. It is
+    solved as -S d_b' = -g, which gives the same bits and spares negating
+    the block K'^T W'.
 
     S's diagonal c_j - sum_i K_ij^2 / r_i cancels where a row's mass sits in
     one entry, as it does for a plan near a permutation (and so does a
@@ -151,7 +183,7 @@ def _newton_row_scaling(K) -> np.ndarray | None:
     semi-dual psi(lb) = sum(lb) - sum_i log (K e^lb)_i, the dual after an exact
     row update (Cuturi & Peyre, "A Smoothed Dual Approach for Variational
     Wasserstein Problems", SIAM J. Imaging Sci. 9(1), 2016), and the row
-    scaling returned is that exact update for the accepted column step. The
+    update returned is that exact update for the accepted column step. The
     step length t starts where max |t d_b| = _MAX_LOG_SCALING or at 1, and
     halves until the Armijo test on psi holds. None means a row of K sums to
     at most exp(-_MAX_LOG_SCALING), the system is singular, max |d_b| is not
@@ -160,22 +192,23 @@ def _newton_row_scaling(K) -> np.ndarray | None:
     (as at n = 1, where no column moves), or t fell below _MIN_NEWTON_STEP.
     """
     n = K.shape[0]
-    r = K.sum(axis=1)
     if not r.min() > math.exp(-_MAX_LOG_SCALING):
         return None
     W = K / r[:, None]
-    # r_i - K_ij, summed from the row's other entries where K_ij is its largest
-    rest = r[:, None] - K
-    rows, top = np.arange(n), K.argmax(axis=1)
-    others = K.copy()
-    others[rows, top] = 0.0
-    rest[rows, top] = others.sum(axis=1)
+    # -(r_i - K_ij); where K_ij is the row's largest, minus the sum of the row's
+    # other entries, taken with the largest set to 0 and then put back
+    rest = K - r[:, None]
+    top = row_starts + K.argmax(axis=1)
+    largest = K.take(top)
+    K.put(top, 0.0)
+    rest.put(top, -K.sum(axis=1))
+    K.put(top, largest)
     rest *= W
-    schur = -K.T.dot(W)[:-1, :-1]
-    schur.flat[::n] = rest.sum(axis=0)[:-1]
+    minus_schur = K.T.dot(W)[:-1, :-1]
+    minus_schur.flat[::n] = rest.sum(axis=0)[:-1]
     g = (1.0 - W.sum(axis=0))[:-1]
     try:
-        d = np.linalg.solve(schur, g)
+        d = np.linalg.solve(minus_schur, -g)
     except np.linalg.LinAlgError:
         return None
     # Past this bound t would start below its floor. Testing it first also
@@ -187,7 +220,8 @@ def _newton_row_scaling(K) -> np.ndarray | None:
     slope = float(g.dot(d))
     if not slope > 0.0:
         return None
-    d_b, total = np.append(d, 0.0), d.sum()
+    d_b, total = np.zeros(n), d.sum()
+    d_b[:-1] = d
     t = min(1.0, _MAX_LOG_SCALING / d_max)
     while t >= _MIN_NEWTON_STEP:
         # (K e^(t d_b))_i / r_i - 1; at -1 in float64 row i keeps no mass
@@ -219,7 +253,8 @@ def sinkhorn_solve(
     ``max_sweeps``, an integer >= 1, bounds the number of iterations. Raises
     :class:`SinkhornError` if the tolerance is not reached within
     ``max_sweeps``, or if the arithmetic overflows, as it does for an
-    ``epsilon`` far below the cost's scale.
+    ``epsilon`` far below the cost's scale. The plan and the error both count
+    the iterations, the accepted Newton steps and the failed Newton attempts.
 
     The potentials are kept as base potentials ``U, V`` plus scalings
     ``u = U + eps log a`` and ``v = V + eps log b``, so that a sweep is two
@@ -229,9 +264,11 @@ def sinkhorn_solve(
     ratio of the last two marginal errors predicts more further sweeps than
     two Newton steps cost (:func:`_sweeps_before_newton`), or the error
     stopped falling.
-    From then on each iteration folds ``a, b`` into ``U, V``, rebuilds ``K``
-    and takes a Newton column step, then the exact row update for it, as
-    ``log a``. The column step is the column part of the damped Newton step
+    From then on each iteration forms the current plan ``a K b`` in a second
+    buffer, takes a Newton column step on it and adds the exact row update
+    for that step to ``log a``; ``U, V`` and ``K`` stay as they are, and the
+    next column update is the exact one for the new ``a``. The column step
+    is the column part of the damped Newton step
     on the joint dual, from one (n-1) x (n-1) system, the Schur complement
     left after eliminating the row update, with a diagonal summed so that it
     does not cancel when the plan nears a permutation; its line search tests
@@ -247,10 +284,14 @@ def sinkhorn_solve(
     ``U, V``, ``K`` is rebuilt from ``U`` and ``V``, ``b = 1`` and
     ``a = exp((u - U) / eps)`` keeps the row potentials ``u`` (Schmitzer,
     "Stabilized sparse scaling algorithms for entropy regularized transport
-    problems", SIAM J. Sci. Comput. 41(3), 2019). The start, each absorb and
-    each Newton fold build ``K`` one way, :func:`_kernel`. Every iteration
-    then shares one computation of the row sums, the dual value, the stopping
-    test and the plan, whose two marginals are checked before it is returned.
+    problems", SIAM J. Sci. Comput. 41(3), 2019). The start and each absorb
+    build ``K`` one way, :func:`_kernel`. Every iteration then shares one
+    computation of the row sums, the dual value and the stopping test. The
+    plan returned is ``a K b`` after plain sweeps only. After a Newton step
+    it is the plan that :func:`_kernel` builds from the returned potentials,
+    ``exp((dual_row_i + dual_col_j - C_ij) / eps)``: where ``K`` underflowed,
+    ``a K b`` drifts from that by up to 1.4e-6 relative. Either plan's two
+    marginals are checked before it is returned.
     """
     C = _check_cost(cost)
     _require_positive("epsilon", epsilon)
@@ -266,8 +307,12 @@ def sinkhorn_solve(
 
     lo, hi = math.exp(-_MAX_LOG_SCALING), math.exp(_MAX_LOG_SCALING)
     work = np.empty_like(C)
+    # the plan a K b for a Newton step, and the plan a Newton-touched solve returns; made
+    # at the first attempt, so that a solve of plain sweeps never allocates it
+    scaled = row_starts = None
     duals = []
     err = np.inf
+    sweep = newton_steps = newton_failures = 0
     # the next row scaling comes from a Newton step
     newton = False
     switch_after = _sweeps_before_newton(n)
@@ -298,7 +343,9 @@ def sinkhorn_solve(
                 duals.append(base + epsilon * (la.sum() + lb.sum() + n - row_sums.sum()))
                 last_err, err = err, float(np.abs(row_sums - 1.0).max())
                 if err <= tol:
-                    P = a[:, None] * K * b[None, :]
+                    u, v = U + epsilon * la, V + epsilon * lb
+                    # after a Newton step, a K b drifts from the potentials where K underflowed
+                    P = _kernel(u, v, C, epsilon, scaled) if newton_steps else a[:, None] * K * b[None, :]
                     err = max(
                         float(np.abs(P.sum(axis=1) - 1.0).max()),
                         float(np.abs(P.sum(axis=0) - 1.0).max()),
@@ -306,35 +353,45 @@ def sinkhorn_solve(
                     if err <= tol:
                         return TransportPlan(
                             plan=P,
-                            dual_row=U + epsilon * la,
-                            dual_col=V + epsilon * lb,
+                            dual_row=u,
+                            dual_col=v,
                             epsilon=float(epsilon),
                             marginal_error=err,
                             sweeps=sweep,
                             dual_values=np.array(duals),
+                            newton_steps=newton_steps,
+                            newton_failures=newton_failures,
                         )
                 if not newton and sweep > 1:
                     # sweeps left at the last contraction rate err / last_err, if it holds
                     newton = math.log(tol / err) < switch_after * math.log(err / last_err)
                 if newton:
-                    # fold a, b into U, V, so that the step starts at a = b = 1 with P = K
-                    U, V = U + epsilon * la, V + epsilon * lb
-                    K = _kernel(U, V, C, epsilon, work)
-                    base = U.sum() + V.sum()
-                    la = _newton_row_scaling(K)
-                    if la is not None:
+                    # the step starts from the current plan, whose row sums are row_sums
+                    if scaled is None:
+                        scaled, row_starts = np.empty_like(C), np.arange(0, n * n, n)
+                    np.multiply(K, a[:, None], out=scaled)
+                    scaled *= b
+                    step = _newton_row_scaling(scaled, row_sums, row_starts)
+                    if step is not None:
+                        newton_steps += 1
+                        la += step
                         a = np.exp(la)
                         continue
+                    newton_failures += 1
                     newton = False
-                    Kb = K.sum(axis=1)
                 a = 1.0 / Kb
                 la = np.log(a)
     except FloatingPointError as exc:
-        raise SinkhornError(f"sinkhorn arithmetic failed at epsilon {epsilon:g} ({exc})", err) from exc
+        raise SinkhornError(
+            f"sinkhorn arithmetic failed at epsilon {epsilon:g} ({exc})", err, sweep, newton_steps, newton_failures
+        ) from exc
     raise SinkhornError(
         f"sinkhorn did not reach marginal tolerance {tol:g} within {max_sweeps} iterations "
         f"(marginal error {err:.3e})",
         err,
+        sweep,
+        newton_steps,
+        newton_failures,
     )
 
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 import re
 import tracemalloc
 
@@ -369,6 +370,14 @@ def test_gradient_norm_overflow_in_a_fixed_step_is_a_numeric_error(call, iterati
     with pytest.raises(NumericError) as info:
         holder_gd(overflow_at(call), [1.0, 0.0], HolderCertificate(1.0, 1.0), gamma=0.5)
     assert info.value.iteration == iteration
+
+
+def test_numeric_error_survives_pickling():
+    """A run that fails in a worker process reaches its parent as this error."""
+    error = pickle.loads(pickle.dumps(NumericError("oracle returned a non-finite value", 3)))
+    assert type(error) is NumericError
+    assert str(error) == "oracle returned a non-finite value (iteration 3)"
+    assert error.iteration == 3
 
 
 @pytest.mark.parametrize("call, iteration", [(1, 0), (4, 0), (5, 1)])

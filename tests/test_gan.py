@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from holderopt import (
+    BacktrackParams,
     GanObjective,
     MlpSpec,
     NumericError,
@@ -15,6 +16,7 @@ from holderopt import (
     entropic_objective,
     init_params,
     minmax_constant,
+    minmin_backtrack_nonmonotone,
     mlp_backward,
     mlp_forward,
     pairwise_distances,
@@ -23,6 +25,7 @@ from holderopt import (
     sample_latents,
     sinkhorn_divergence,
     sinkhorn_solve,
+    StopRule,
 )
 from holderopt.harness import GENERATOR_WIDTHS
 from test_sinkhorn import REF_TOL, assert_matches_reference, reference_solve
@@ -368,6 +371,27 @@ def test_every_warm_started_plan_is_certified_against_a_cold_solve(monkeypatch):
         assert_matches_reference(result, C, reference_solve(C, gan.epsilon, tol=REF_TOL), tol=gan.sinkhorn_tol)
         cold_sweeps += sinkhorn_solve(C, gan.epsilon, tol=gan.sinkhorn_tol).sweeps
     assert sum(result.sweeps for result in results) < cold_sweeps
+
+
+def test_backtracking_run_counts_its_newton_steps(monkeypatch):
+    """Acceptance test 08's backtracking run: 300 solves in 1 534 iterations,
+    739 of them Newton steps, none of which falls back to a plain sweep."""
+    import holderopt.gan
+
+    spec = MlpSpec(GENERATOR_WIDTHS)
+    gan = GanObjective(spec, sample_latents(64, seed=0), sample_data(64, seed=0), epsilon=0.2, sinkhorn_tol=1e-7)
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(sinkhorn_solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(holderopt.gan, "sinkhorn_solve", recorded)
+    stop = StopRule(grad_tol=0.0, max_iters=10**9, max_oracle_calls=300)
+    minmin_backtrack_nonmonotone(as_minmin_problem(gan), init_params(spec, 0), BacktrackParams(delta_plus=0.95), stop)
+    counts = [(r.sweeps, r.newton_steps, r.newton_failures) for r in results]
+    assert len(counts) == 300
+    assert tuple(map(sum, zip(*counts))) == (1534, 739, 0)
 
 
 def test_cost_bits_do_not_depend_on_history():
