@@ -6,8 +6,9 @@ Two clouds of n points each, every point carrying unit mass. The
 regularized problem min_P <P, C> + eps * sum P log P over plans with
 all-ones marginals is solved by alternating exact updates of the two
 dual potential vectors, on a kernel stabilized so that small eps does
-not underflow. Once those sweeps slow down, the solver takes Newton
-steps on both vectors at once instead.
+not underflow. Once those sweeps slow down, each iteration takes a
+Newton step on the column potential instead, then the exact row update
+for it.
 """
 
 import numpy as np

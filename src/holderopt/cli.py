@@ -20,15 +20,8 @@ import dataclasses
 import os
 import sys
 
-from .descent import NumericError
-from .harness import (
-    ExperimentConfig,
-    compare_and_plot,
-    config_from_values,
-    load_config,
-    run_experiment,
-)
-from .sinkhorn import SinkhornError
+from .harness import compare_and_plot, load_config, run_experiment
+from .problems import RunError
 
 
 def _summary(run_id: str, traj) -> str:
@@ -57,11 +50,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        overrides = {"seed": args.seed, "problem": args.problem}
-        if args.config:
-            config = load_config(args.config, **overrides)
-        else:
-            config = config_from_values({k: v for k, v in overrides.items() if v is not None})
+        config = load_config(args.config, seed=args.seed, problem=args.problem)
         algos = [a.strip() for a in args.algo.split(",") if a.strip()] if args.algo else [config.algorithm]
         if not algos:
             raise ValueError("--algo must name at least one algorithm")
@@ -77,7 +66,7 @@ def main(argv=None) -> int:
             for run_id, traj in results:
                 print(_summary(run_id, traj))
             print(f"wrote {svg_path}")
-    except (ValueError, KeyError, OSError, NumericError, SinkhornError) as exc:
+    except (ValueError, KeyError, OSError, RunError) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

@@ -24,7 +24,6 @@ problem's own, so plain descent on the value function and the min-max driver agr
 from __future__ import annotations
 
 import contextlib
-import copyreg
 import itertools
 import math
 import numbers
@@ -34,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import HolderCertificate, SmoothObjective, _require_count, _require_interval, _require_positive
+from .problems import HolderCertificate, RunError, SmoothObjective, _require_count, _require_interval, _require_positive
 
 CONVERGED = "converged"
 ITER_BUDGET = "iter_budget"
@@ -42,7 +41,7 @@ ORACLE_BUDGET = "oracle_budget"
 K_CAP_EXCEEDED = "k_cap_exceeded"
 
 
-class NumericError(RuntimeError):
+class NumericError(RunError):
     """An oracle returned NaN/Inf.
 
     ``iteration`` is the index of the iteration that made the bad call: 0 for
@@ -54,10 +53,6 @@ class NumericError(RuntimeError):
     def __init__(self, message: str, iteration: int):
         super().__init__(f"{message} (iteration {iteration})")
         self.iteration = iteration
-
-    def __reduce__(self):
-        # rebuilt from its args and fields without __init__, so that it crosses a process boundary
-        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 @dataclass
@@ -369,6 +364,12 @@ def _descend(obj, x0, stop, step_fn, params=None, header=CSV_HEADER, *, nonmonot
             gn, status = _checked_norm(value, grad, shape, n), ORACLE_BUDGET
 
 
+def _require_certificate(cert) -> None:
+    """Raise ValueError unless ``cert`` is a :class:`HolderCertificate`, which :func:`holder_gd` needs."""
+    if not isinstance(cert, HolderCertificate):
+        raise ValueError(f"holder_gd needs a smoothness certificate, got {cert!r}")
+
+
 def holder_gd(
     obj: SmoothObjective,
     x0,
@@ -382,8 +383,7 @@ def holder_gd(
     global bound, as the caller asserts it; nothing checks it against ``obj``.
     One oracle call per iteration; records carry k = 0.
     """
-    if not isinstance(cert, HolderCertificate):
-        raise ValueError(f"holder_gd needs a smoothness certificate, got {cert!r}")
+    _require_certificate(cert)
     if gamma is None:
         gamma = optimal_holder_gamma(cert)
     # validate gamma once up front so a bad range fails before any oracle call

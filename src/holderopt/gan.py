@@ -175,10 +175,9 @@ class GanObjective:
     the kept value and a fresh copy of the kept gradient; any other plan is
     evaluated afresh. Two entries, because fixed steps that oscillate come
     back: in the paper's comparison the γ = 0.05 and 0.1 baselines settle
-    into period-2 cycles, and 183 of the three baselines' 900 calls return
-    to the θ of two calls before, none to the θ just before, so they make
-    717 solves. (Re-solving there, from another warm start, moved last bits
-    and broke some cycles: 179 returns of 900 at seed 0.)
+    into period-2 cycles, and at seed 0 188 of the three baselines' 900
+    calls return to the θ of two calls before, none to the θ just before,
+    so they make 712 solves.
 
     ``loss`` at a solve's own plan is ``sum_i u_i r_i + sum_j v_j c_j`` from
     the solve's potentials ``u, v`` and the plan's row and column sums

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import problems as _problems
-from .descent import BacktrackParams, StopRule, holder_gd
+from .descent import BacktrackParams, StopRule, _require_certificate, holder_gd
 from .gan import GanObjective, MlpSpec, as_minmin_problem, init_params, mlp_forward, pairwise_distances
 from .minimax import (
     InnerAscentBudget,
@@ -28,7 +28,7 @@ from .minimax import (
     minmin_backtrack_nonmonotone,
 )
 from .plotting import render_comparison, write_svg
-from .problems import ValueFunctionView, _require_count, _require_positive
+from .problems import ProblemTraits, ValueFunctionView, _require, _require_count, _require_positive
 from .rng import STREAM_DATA, STREAM_LATENT, RandomStream, _require_u64
 
 
@@ -44,8 +44,20 @@ _RUNS = {
     "constant": lambda p, x0, c: minmax_constant(p, x0, c.gamma, c.stop),
 }
 ALGORITHMS = tuple(_RUNS)
+# algorithm -> the entry in problems._NEEDS of the driver it runs; holder_known also needs the
+# problem's certificate, which it hands to holder_gd
+_DRIVER_NEEDS = {
+    "holder_known": "value function view",
+    "backtrack_holder": "minmax_backtrack",
+    "nonmonotone_holder": "minmin_backtrack_nonmonotone",
+    "nonmonotone_armijo": "minmin_armijo_nonmonotone",
+    "heuristic_minmax": "minmax_heuristic",
+    "constant": "minmax_constant",
+}
 
 GENERATOR_WIDTHS = (2, 64, 32, 16, 2)
+# what the sinkhorn_gan id says of the problem build_problem makes of it with as_minmin_problem
+_GAN_TRAITS = ProblemTraits("min-min", True, None, None)
 # the paper's comparison budget, for a sinkhorn_gan config that sets no bound:
 # the default StopRule's 100 000 iterations of Sinkhorn solves would take hours
 GAN_ORACLE_BUDGET = 300
@@ -154,6 +166,15 @@ def build_problem(config: ExperimentConfig):
     return problem, problem.x0_default if config.x0 is None else config.x0
 
 
+def _require_runnable(config: ExperimentConfig) -> None:
+    """Raise the ValueError that ``config``'s driver would raise of its problem, from the problem id
+    alone: a sense, an inner oracle or a certificate that the problem lacks."""
+    traits = _GAN_TRAITS if config.problem == "sinkhorn_gan" else _problems._parse_problem_id(config.problem)[1]
+    _require(traits, _DRIVER_NEEDS[config.algorithm])
+    if config.algorithm == "holder_known":
+        _require_certificate(traits.certificate)
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None):
     """Run one configured driver; optionally write the trajectory CSV.
 
@@ -175,6 +196,10 @@ def compare_and_plot(configs, out_path, out_dir=None):
     polyline per run with :func:`holderopt.plotting.render_comparison` into the
     SVG at ``out_path``, whose y axis is a log scale when every objective is
     positive. Returns the list of (run id, trajectory) pairs in input order.
+
+    Before the first run, and before ``out_dir`` is made, every config is checked:
+    the run ids must differ, and each algorithm must suit its problem's sense,
+    inner oracles and certificate, with the error its driver would raise.
     """
     configs = list(configs)
     if not configs:
@@ -182,6 +207,8 @@ def compare_and_plot(configs, out_path, out_dir=None):
     run_ids = [cfg.run_id() for cfg in configs]
     if len(set(run_ids)) < len(run_ids):
         raise ValueError(f"configs must have distinct run ids, got {', '.join(run_ids)}")
+    for cfg in configs:
+        _require_runnable(cfg)
     results = [(run_id, run_experiment(cfg, out_dir=out_dir)) for run_id, cfg in zip(run_ids, configs)]
     write_svg(render_comparison([(run_id, t.oracle_calls, t.f_values) for run_id, t in results]), out_path)
     return results
@@ -267,9 +294,12 @@ def config_from_values(values: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path, **overrides) -> ExperimentConfig:
-    """Read a config file and apply keyword overrides (e.g. from CLI flags)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        values = parse_config_text(fh.read())
+def load_config(path=None, **overrides) -> ExperimentConfig:
+    """Read a config file, or none when ``path`` is None, and apply the keyword overrides that are not
+    None (e.g. from CLI flags)."""
+    values = {}
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            values = parse_config_text(fh.read())
     values.update({k: v for k, v in overrides.items() if v is not None})
     return config_from_values(values)

@@ -3,7 +3,7 @@
 Every driver minimizes the value function g(x) = L(x, y*(x)) while only ever
 calling the problem's inner oracle; one oracle call is one unit of
 ``oracle_calls`` regardless of how much work the inner solve does. Every driver checks its
-problem's sense and oracle with :func:`holderopt.problems._require` and is then one call of the
+problem's sense and oracle against its entry in ``holderopt.problems._NEEDS`` and is then one call of the
 descent loop of :mod:`holderopt.descent`, which checks the start once with ``start_point`` and
 returns the :class:`holderopt.descent.Trajectory`, whose CSV carries :data:`MINMAX_CSV_HEADER`.
 The exact-oracle drivers evaluate through the problem's ``value_and_grad``,
@@ -88,7 +88,7 @@ def minmax_backtrack(
     Each trial point costs one best-response call; the trial exponent is
     inherited across iterations and never decreases.
     """
-    _require(problem, "min-max", "best_response", "minmax_backtrack")
+    _require(problem, "minmax_backtrack")
     params = params or BacktrackParams()
     return _descend(problem, x0, stop, lambda k, gn: backtrack_step(k, gn, params), params, MINMAX_CSV_HEADER)
 
@@ -105,7 +105,7 @@ def minmin_backtrack_nonmonotone(
     when the inherited step clears the stronger ``delta_plus`` threshold; every
     accepted step still satisfies the plain ``delta`` sufficient decrease.
     """
-    _require(problem, "min-min", "best_response", "minmin_backtrack_nonmonotone")
+    _require(problem, "minmin_backtrack_nonmonotone")
     params = params or BacktrackParams()
     step_fn = lambda k, gn: backtrack_step(k, gn, params)
     return _descend(problem, x0, stop, step_fn, params, MINMAX_CSV_HEADER, nonmonotone=True)
@@ -118,7 +118,7 @@ def minmin_armijo_nonmonotone(
     stop: Optional[StopRule] = None,
 ) -> Trajectory:
     """As :func:`minmin_backtrack_nonmonotone` with the plain geometric step gamma * alpha**k."""
-    _require(problem, "min-min", "best_response", "minmin_armijo_nonmonotone")
+    _require(problem, "minmin_armijo_nonmonotone")
     params = params or BacktrackParams()
     step_fn = lambda k, gn: params.gamma * params.alpha**k
     return _descend(problem, x0, stop, step_fn, params, MINMAX_CSV_HEADER, nonmonotone=True)
@@ -139,7 +139,7 @@ def minmax_heuristic(
     those loss evaluations are not oracle calls. The trial exponent resets to
     0 every iteration and the first trial step is exactly gamma.
     """
-    _require(problem, "min-max", "approx_response", "minmax_heuristic")
+    _require(problem, "minmax_heuristic")
     params = params or BacktrackParams()
     step_fn = lambda k, gn: backtrack_step(k, gn, params)
     oracle = _ApproxOracle(problem, budget or InnerAscentBudget())
@@ -156,6 +156,6 @@ def minmax_constant(
 
     Takes either sense. No monotonicity guarantee.
     """
-    _require(problem, None, "best_response", "minmax_constant")
+    _require(problem, "minmax_constant")
     _require_positive("gamma", gamma)
     return _descend(problem, x0, stop, lambda k, gn: gamma, None, MINMAX_CSV_HEADER)

@@ -9,14 +9,24 @@ former through the envelope identity ``grad g(x) = grad_x L(x, y*(x))``.
 
 from __future__ import annotations
 
+import copyreg
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 Array = np.ndarray
+
+
+class RunError(RuntimeError):
+    """Base of the errors that end a run part-way: :class:`holderopt.descent.NumericError` and
+    :class:`holderopt.sinkhorn.SinkhornError`. Each pickles as its args and fields and is rebuilt without
+    ``__init__``, so that it crosses a process boundary as itself."""
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 def _require_count(field: str, value, low: int) -> None:
@@ -40,7 +50,7 @@ def _require_interval(field: str, value, low: float, high: float, interval: str,
         raise ValueError(f"{field} must lie in {interval}, got {value}")
 
 
-def _start_point(x0, dim: int, name: str) -> Array:
+def _start_point(x0, dim: int, name: str = "") -> Array:
     """``x0`` as a fresh float vector; raises ValueError naming ``name`` unless it has ``dim`` finite entries."""
     x = np.array(x0, dtype=float, ndmin=1)
     name = f" {name}" if name else ""
@@ -75,14 +85,13 @@ class SmoothObjective:
     results. One evaluation is one oracle call; the drivers count them in their ``oracle_calls``.
     """
 
-    def __init__(self, dim: int, fn: Callable[[Array], tuple], name: str = ""):
+    def __init__(self, dim: int, fn: Callable[[Array], tuple]):
         _require_count("dim", dim, 1)
         self.dim = int(dim)
-        self.name = name
         self._fn = fn
 
     def start_point(self, x0) -> Array:
-        return _start_point(x0, self.dim, self.name)
+        return _start_point(x0, self.dim)
 
     def value_and_grad(self, x) -> tuple[float, Array]:
         value, grad = self._fn(x)
@@ -133,8 +142,34 @@ class MinMaxProblem:
         return self.loss(x, y), np.asarray(self.grad_x(x, y), dtype=float)
 
 
-def _require(problem: MinMaxProblem, sense: Optional[str], oracle: str, who: str) -> None:
-    """Raise ValueError naming ``who`` unless ``problem`` has ``sense`` (either, when None) and sets ``oracle``."""
+class ProblemTraits(NamedTuple):
+    """What a problem id says of its problem before the problem is built, under :class:`MinMaxProblem`'s
+    field names: its sense, ``True`` for each inner oracle it sets and None for one it leaves unset,
+    and its certificate."""
+
+    sense: str
+    best_response: Optional[bool]
+    approx_response: Optional[bool]
+    certificate: Optional[HolderCertificate]
+
+
+# What each driver needs of its problem: a sense, None taking either, and an inner oracle. Each
+# driver checks its problem against its own entry when it is called; the harness checks every
+# run's problem id against the same entry before a comparison's first run.
+_NEEDS = {
+    "minmax_backtrack": ("min-max", "best_response"),
+    "minmin_backtrack_nonmonotone": ("min-min", "best_response"),
+    "minmin_armijo_nonmonotone": ("min-min", "best_response"),
+    "minmax_heuristic": ("min-max", "approx_response"),
+    "minmax_constant": (None, "best_response"),
+    "value function view": (None, "best_response"),
+}
+
+
+def _require(problem, who: str) -> None:
+    """Raise ValueError naming ``who`` unless ``problem``, a :class:`MinMaxProblem` or the
+    :class:`ProblemTraits` of one, has the sense and sets the oracle that ``_NEEDS[who]`` names."""
+    sense, oracle = _NEEDS[who]
     if sense is not None and problem.sense != sense:
         raise ValueError(f"{who} expects a {sense} problem, got {problem.sense}")
     if getattr(problem, oracle) is None:
@@ -150,8 +185,8 @@ class ValueFunctionView(SmoothObjective):
     """
 
     def __init__(self, problem: MinMaxProblem):
-        _require(problem, None, "best_response", "value function view")
-        super().__init__(problem.dim_x, problem.value_and_grad)
+        _require(problem, "value function view")
+        self.dim = problem.dim_x
         self.start_point, self.value_and_grad = problem.start_point, problem.value_and_grad
         self.certificate = problem.certificate
 
@@ -260,19 +295,28 @@ def make_quadratic_minmin(dim: int) -> MinMaxProblem:
     )
 
 
-def _parse_problem_id(problem_id) -> Callable[[], MinMaxProblem]:
-    """The maker of the analytic problem an id names, its dimension bound; builds nothing. Ids: ``sqrt``,
-    ``quadratic_saddle:D`` and ``quadratic_minmin:D``, D a positive decimal integer with no sign, space or
-    leading zero, so one id names one problem. Any other id, a non-str one included, raises KeyError."""
+# what each analytic family's id says of the problems its maker builds
+_FAMILY_TRAITS = {
+    "sqrt": ProblemTraits("min-max", True, True, HolderCertificate(beta=1.0, nu=0.5)),
+    "quadratic_saddle": ProblemTraits("min-max", True, True, HolderCertificate(beta=1.0, nu=1.0)),
+    "quadratic_minmin": ProblemTraits("min-min", True, None, HolderCertificate(beta=0.5, nu=1.0)),
+}
+
+
+def _parse_problem_id(problem_id) -> tuple[Callable[[], MinMaxProblem], ProblemTraits]:
+    """The maker of the analytic problem an id names, its dimension bound, and the problem's traits;
+    builds nothing. Ids: ``sqrt``, ``quadratic_saddle:D`` and ``quadratic_minmin:D``, D a positive decimal
+    integer with no sign, space or leading zero, so one id names one problem. Any other id, a non-str one
+    included, raises KeyError."""
     if isinstance(problem_id, str):
         if problem_id == "sqrt":
-            return make_sqrt_problem
+            return make_sqrt_problem, _FAMILY_TRAITS["sqrt"]
         head, _, tail = problem_id.partition(":")
         if head in ("quadratic_saddle", "quadratic_minmin") and tail:
             if not tail.isdecimal() or str(int(tail)) != tail or tail == "0":
                 raise KeyError(f"bad dimension in problem id {problem_id!r}")
             maker = make_quadratic_saddle if head == "quadratic_saddle" else make_quadratic_minmin
-            return lambda: maker(int(tail))
+            return (lambda: maker(int(tail))), _FAMILY_TRAITS[head]
     raise KeyError(
         f"unknown problem id {problem_id!r}; expected 'sqrt', 'quadratic_saddle:D', "
         "'quadratic_minmin:D' (the sinkhorn_gan problem is built by the harness)"
@@ -281,7 +325,7 @@ def _parse_problem_id(problem_id) -> Callable[[], MinMaxProblem]:
 
 def get_problem(problem_id: str) -> MinMaxProblem:
     """Build the analytic problem an id names; the harness builds ``sinkhorn_gan``, which needs data and a seed."""
-    return _parse_problem_id(problem_id)()
+    return _parse_problem_id(problem_id)[0]()
 
 
 def finite_diff_gradient(f, x, h: float = 1e-6) -> Array:

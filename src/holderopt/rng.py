@@ -42,9 +42,7 @@ class RandomStream:
     def __init__(self, seed: int, stream: int):
         _require_u64("seed", seed)
         _require_u64("stream id", stream)
-        self.seed = int(seed)
-        self.stream = int(stream)
-        self._bitgen = np.random.Philox(key=(self.stream << 64) | self.seed)
+        self._bitgen = np.random.Philox(key=(int(stream) << 64) | int(seed))
 
     def words(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit words."""

@@ -27,16 +27,15 @@ search solve nearby costs.
 
 from __future__ import annotations
 
-import copyreg
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import _require_count, _require_positive
+from .problems import RunError, _require_count, _require_positive
 
 
-class SinkhornError(RuntimeError):
+class SinkhornError(RunError):
     """Raised when the scaling iterations do not reach the marginal tolerance.
 
     ``sweeps``, ``newton_steps`` and ``newton_failures`` count the work done
@@ -52,10 +51,6 @@ class SinkhornError(RuntimeError):
         self.sweeps = sweeps
         self.newton_steps = newton_steps
         self.newton_failures = newton_failures
-
-    def __reduce__(self):
-        # rebuilt from its args and fields without __init__, so that it crosses a process boundary
-        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 @dataclass
@@ -100,11 +95,9 @@ def _sweeps_before_newton(n: int) -> float:
     an (n-1) x (n-1) solve and the exact row update, costs at most about as
     much as 4 + n^2 / 512 plain sweeps on one core (measured on clouds at
     eps 0.05, one BLAS thread, near convergence, on a noisy 2-core host: 3 to
-    11 at n <= 32, 6 to 11 at 64, 16 to 32 at 128, 29 to 60 at 192, where
-    folding the scalings into a rebuilt kernel instead read 6 to 10, 12 to
-    13, 26 to 28 and 45 to 64): a Newton solve takes a handful of steps
-    where plain sweeps would take hundreds, while solves that converge in a
-    few dozen sweeps never switch.
+    11 at n <= 32, 6 to 11 at 64, 16 to 32 at 128, 29 to 60 at 192): a
+    Newton solve takes a handful of steps where plain sweeps would take
+    hundreds, while solves that converge in a few dozen sweeps never switch.
     """
     return 8.0 + n * n / 256.0
 
@@ -151,6 +144,13 @@ def _kernel(U, V, C, epsilon, work) -> np.ndarray:
     work -= C
     work /= epsilon
     return np.exp(work, out=work)
+
+
+def _scaled_plan(K, a, b, out) -> np.ndarray:
+    """The plan a_i K_ij b_j, formed in ``out``."""
+    np.multiply(K, a[:, None], out=out)
+    out *= b
+    return out
 
 
 def _newton_row_scaling(K, r, row_starts) -> np.ndarray | None:
@@ -264,11 +264,11 @@ def sinkhorn_solve(
     ratio of the last two marginal errors predicts more further sweeps than
     two Newton steps cost (:func:`_sweeps_before_newton`), or the error
     stopped falling.
-    From then on each iteration forms the current plan ``a K b`` in a second
-    buffer, takes a Newton column step on it and adds the exact row update
-    for that step to ``log a``; ``U, V`` and ``K`` stay as they are, and the
-    next column update is the exact one for the new ``a``. The column step
-    is the column part of the damped Newton step
+    From then on each iteration forms the current plan ``a K b``, takes a
+    Newton column step on it and adds the exact row update for that step to
+    ``log a``; ``U, V`` and ``K`` stay as they are, and the next column
+    update is the exact one for the new ``a``. The column step is the column
+    part of the damped Newton step
     on the joint dual, from one (n-1) x (n-1) system, the Schur complement
     left after eliminating the row update, with a diagonal summed so that it
     does not cancel when the plan nears a permutation; its line search tests
@@ -286,11 +286,14 @@ def sinkhorn_solve(
     "Stabilized sparse scaling algorithms for entropy regularized transport
     problems", SIAM J. Sci. Comput. 41(3), 2019). The start and each absorb
     build ``K`` one way, :func:`_kernel`. Every iteration then shares one
-    computation of the row sums, the dual value and the stopping test. The
-    plan returned is ``a K b`` after plain sweeps only. After a Newton step
-    it is the plan that :func:`_kernel` builds from the returned potentials,
-    ``exp((dual_row_i + dual_col_j - C_ij) / eps)``: where ``K`` underflowed,
-    ``a K b`` drifts from that by up to 1.4e-6 relative. Either plan's two
+    computation of the row sums, the dual value and the stopping test. Each
+    solve makes one n x n plan buffer and forms every plan in it, so the
+    plan returned is the solve's own array. It is ``a K b``, formed by
+    :func:`_scaled_plan` as for a Newton step, after plain sweeps only.
+    After a Newton step it is the plan that :func:`_kernel` builds from the
+    returned potentials, ``exp((dual_row_i + dual_col_j - C_ij) / eps)``:
+    where ``K`` underflowed, ``a K b`` drifts from that by up to 1.4e-6
+    relative. Either plan's two
     marginals are checked before it is returned.
     """
     C = _check_cost(cost)
@@ -307,9 +310,10 @@ def sinkhorn_solve(
 
     lo, hi = math.exp(-_MAX_LOG_SCALING), math.exp(_MAX_LOG_SCALING)
     work = np.empty_like(C)
-    # the plan a K b for a Newton step, and the plan a Newton-touched solve returns; made
-    # at the first attempt, so that a solve of plain sweeps never allocates it
-    scaled = row_starts = None
+    # every plan this solve forms, for a Newton step or to return, so the plan returned
+    # is this solve's own array
+    plan = np.empty_like(C)
+    row_starts = np.arange(0, n * n, n)
     duals = []
     err = np.inf
     sweep = newton_steps = newton_failures = 0
@@ -345,7 +349,7 @@ def sinkhorn_solve(
                 if err <= tol:
                     u, v = U + epsilon * la, V + epsilon * lb
                     # after a Newton step, a K b drifts from the potentials where K underflowed
-                    P = _kernel(u, v, C, epsilon, scaled) if newton_steps else a[:, None] * K * b[None, :]
+                    P = _kernel(u, v, C, epsilon, plan) if newton_steps else _scaled_plan(K, a, b, plan)
                     err = max(
                         float(np.abs(P.sum(axis=1) - 1.0).max()),
                         float(np.abs(P.sum(axis=0) - 1.0).max()),
@@ -367,11 +371,7 @@ def sinkhorn_solve(
                     newton = math.log(tol / err) < switch_after * math.log(err / last_err)
                 if newton:
                     # the step starts from the current plan, whose row sums are row_sums
-                    if scaled is None:
-                        scaled, row_starts = np.empty_like(C), np.arange(0, n * n, n)
-                    np.multiply(K, a[:, None], out=scaled)
-                    scaled *= b
-                    step = _newton_row_scaling(scaled, row_sums, row_starts)
+                    step = _newton_row_scaling(_scaled_plan(K, a, b, plan), row_sums, row_starts)
                     if step is not None:
                         newton_steps += 1
                         la += step

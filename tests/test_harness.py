@@ -24,6 +24,7 @@ from holderopt import (
     sample_data,
     sample_latents,
 )
+from holderopt import gan as gan_module
 from holderopt import harness
 from holderopt import problems as problems_module
 from holderopt.cli import main
@@ -506,6 +507,43 @@ def test_compare_and_plot_rejects_repeated_run_ids(tmp_path):
     assert not (tmp_path / "c.svg").exists()
 
 
+@pytest.mark.parametrize("problem", ["sqrt", "quadratic_saddle:3", "quadratic_minmin:3", "sinkhorn_gan"])
+def test_problem_traits_describe_the_built_problem(problem):
+    built, _ = build_problem(ExperimentConfig(problem=problem, sample_size=4))
+    traits = harness._GAN_TRAITS if problem == "sinkhorn_gan" else problems_module._parse_problem_id(problem)[1]
+    set_or_none = lambda oracle: None if oracle is None else True
+    assert traits == (
+        built.sense,
+        set_or_none(built.best_response),
+        set_or_none(built.approx_response),
+        built.certificate,
+    )
+
+
+@pytest.mark.parametrize("algorithm", ["constant:0.1" if a == "constant" else a for a in ALGORITHMS])
+@pytest.mark.parametrize("problem", ["sqrt", "quadratic_saddle:2", "quadratic_minmin:2", "sinkhorn_gan"])
+def test_comparison_refuses_before_any_run_what_a_driver_refuses(problem, algorithm, tmp_path):
+    """compare_and_plot refuses a config exactly when the run's own driver refuses its problem, with
+    the driver's message, and before it runs or writes anything, a fixed step that every problem takes
+    included."""
+    cfg, first = (
+        ExperimentConfig(problem=problem, algorithm=a, sample_size=4, stop=StopRule(max_oracle_calls=1))
+        for a in (algorithm, "constant:0.2")
+    )
+    try:
+        run_experiment(cfg)
+        refusal = None
+    except ValueError as exc:
+        refusal = str(exc)
+    out_dir = tmp_path / "runs"
+    try:
+        compare_and_plot([first, cfg], tmp_path / "c.svg", out_dir=out_dir)
+        assert refusal is None
+    except ValueError as exc:
+        assert str(exc) == refusal
+        assert not out_dir.exists()
+
+
 # --------------------------------------------------------------------- cli
 
 
@@ -554,6 +592,29 @@ def test_cli_gan_run_without_a_bound_stops_at_the_comparison_budget(tmp_path, ca
     out = capsys.readouterr().out
     assert "status=oracle_budget" in out
     assert "oracle_calls=300 " in out
+
+
+def test_cli_comparison_is_refused_before_its_first_run(tmp_path, capsys):
+    """The second driver needs a min-max problem: the first run never starts, so nothing is written."""
+    out = tmp_path / "runs"
+    argv = ["--problem", "quadratic_minmin:2", "--algo", "nonmonotone_holder,backtrack_holder", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: minmax_backtrack expects a min-max problem, got min-min\n"
+    assert not out.exists()
+
+
+def test_cli_gan_comparison_without_a_certificate_makes_no_solve(tmp_path, capsys, monkeypatch):
+    """holder_known needs a certificate that the generator problem lacks: refused before any transport solve."""
+    solves = []
+    solve = gan_module.sinkhorn_solve
+    monkeypatch.setattr(gan_module, "sinkhorn_solve", lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
+    path = tmp_path / "exp.cfg"
+    path.write_text("problem = sinkhorn_gan\nsample_size = 4\nmax_oracle_calls = 5\n")
+    out = tmp_path / "runs"
+    assert main(["--config", str(path), "--algo", "nonmonotone_holder,holder_known", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: holder_gd needs a smoothness certificate, got None\n"
+    assert solves == []
+    assert not out.exists()
 
 
 def test_cli_errors_exit_2(tmp_path, capsys):

@@ -467,6 +467,22 @@ def test_a_newton_touched_plan_is_built_from_its_potentials(case):
     assert result.newton_steps > 0
 
 
+def test_each_solve_returns_a_plan_of_its_own():
+    """A plain-only solve and two that take Newton steps, one after another: no returned plan shares
+    memory with another, and each keeps its values through the later solves, as the read-only plans
+    that GanObjective keeps must."""
+    C = np.random.default_rng(5).random((5, 5))
+    results, copies = [], []
+    for eps in (1.0, 0.2, 0.02):
+        results.append(sinkhorn_solve(C, eps))
+        copies.append(results[-1].plan.copy())
+    assert [r.newton_steps > 0 for r in results] == [False, True, True]
+    for first, second in itertools.combinations(results, 2):
+        assert not np.shares_memory(first.plan, second.plan)
+    for result, copy in zip(results, copies):
+        assert np.array_equal(result.plan, copy)
+
+
 def test_overflowing_newton_direction_falls_back_to_a_plain_sweep():
     """Case 8 of the random clouds at eps in [1e-4, 3e-4], n = 24 at eps
     0.000205: some Newton directions are finite but overflow their slope
