@@ -127,9 +127,12 @@ def mlp_backward(spec: MlpSpec, theta, z, upstream) -> np.ndarray:
 
 
 def pairwise_distances(Y, X) -> np.ndarray:
-    """Euclidean distance matrix D[i, j] = |Y_i - X_j| (not squared)."""
+    """Euclidean distance matrix D[i, j] = |Y_i - X_j| (not squared). Y and X are 2-d clouds of one width;
+    anything else raises ValueError naming both shapes."""
     Y = np.asarray(Y, dtype=float)
     X = np.asarray(X, dtype=float)
+    if Y.ndim != 2 or X.ndim != 2 or Y.shape[1] != X.shape[1]:
+        raise ValueError(f"expected 2-d point clouds of one width, got shapes {Y.shape} and {X.shape}")
     # summed per coordinate, in order, with no n x m x width difference array
     D2 = np.zeros((Y.shape[0], X.shape[0]))
     for k in range(Y.shape[1]):

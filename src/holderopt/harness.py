@@ -28,7 +28,7 @@ from .minimax import (
     minmin_backtrack_nonmonotone,
 )
 from .plotting import render_comparison, write_svg
-from .problems import ProblemTraits, ValueFunctionView, _require, _require_count, _require_positive
+from .problems import ValueFunctionView, _require, _require_count, _require_positive
 from .rng import STREAM_DATA, STREAM_LATENT, RandomStream, _require_u64
 
 
@@ -56,8 +56,6 @@ _DRIVER_NEEDS = {
 }
 
 GENERATOR_WIDTHS = (2, 64, 32, 16, 2)
-# what the sinkhorn_gan id says of the problem build_problem makes of it with as_minmin_problem
-_GAN_TRAITS = ProblemTraits("min-min", True, None, None)
 # the paper's comparison budget, for a sinkhorn_gan config that sets no bound:
 # the default StopRule's 100 000 iterations of Sinkhorn solves would take hours
 GAN_ORACLE_BUDGET = 300
@@ -166,13 +164,23 @@ def build_problem(config: ExperimentConfig):
     return problem, problem.x0_default if config.x0 is None else config.x0
 
 
-def _require_runnable(config: ExperimentConfig) -> None:
-    """Raise the ValueError that ``config``'s driver would raise of its problem, from the problem id
-    alone: a sense, an inner oracle or a certificate that the problem lacks."""
-    traits = _GAN_TRAITS if config.problem == "sinkhorn_gan" else _problems._parse_problem_id(config.problem)[1]
-    _require(traits, _DRIVER_NEEDS[config.algorithm])
+def _build_runnable(config: ExperimentConfig):
+    """``build_problem(config)``, refused with the ValueError that the config's driver would raise of
+    the problem: a sense, an inner oracle or a certificate that the problem lacks."""
+    problem, x0 = build_problem(config)
+    _require(problem, _DRIVER_NEEDS[config.algorithm])
     if config.algorithm == "holder_known":
-        _require_certificate(traits.certificate)
+        _require_certificate(problem.certificate)
+    return problem, x0
+
+
+def _run_built(config: ExperimentConfig, problem, x0, out_dir):
+    """Run ``config``'s driver on its built problem from ``x0``; write the CSV into ``out_dir`` if given."""
+    traj = _RUNS[config.algorithm](problem, x0, config)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        traj.to_csv(os.path.join(out_dir, config.run_id() + ".csv"))
+    return traj
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None):
@@ -183,12 +191,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     :func:`holderopt.descent.holder_gd` on the value-function view, and the
     min-max header otherwise. The CSV's x-axis column is ``oracle_calls``.
     """
-    problem, x0 = build_problem(config)
-    traj = _RUNS[config.algorithm](problem, x0, config)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        traj.to_csv(os.path.join(out_dir, config.run_id() + ".csv"))
-    return traj
+    return _run_built(config, *build_problem(config), out_dir)
 
 
 def compare_and_plot(configs, out_path, out_dir=None):
@@ -197,9 +200,10 @@ def compare_and_plot(configs, out_path, out_dir=None):
     SVG at ``out_path``, whose y axis is a log scale when every objective is
     positive. Returns the list of (run id, trajectory) pairs in input order.
 
-    Before the first run, and before ``out_dir`` is made, every config is checked:
-    the run ids must differ, and each algorithm must suit its problem's sense,
-    inner oracles and certificate, with the error its driver would raise.
+    Before the first run, and before ``out_dir`` is made, the run ids must differ,
+    and every config's problem is built, once, and checked with the error its driver
+    would raise of it. Each run then uses the problem built for it, which is
+    released when the run returns.
     """
     configs = list(configs)
     if not configs:
@@ -207,9 +211,9 @@ def compare_and_plot(configs, out_path, out_dir=None):
     run_ids = [cfg.run_id() for cfg in configs]
     if len(set(run_ids)) < len(run_ids):
         raise ValueError(f"configs must have distinct run ids, got {', '.join(run_ids)}")
-    for cfg in configs:
-        _require_runnable(cfg)
-    results = [(run_id, run_experiment(cfg, out_dir=out_dir)) for run_id, cfg in zip(run_ids, configs)]
+    built = [_build_runnable(cfg) for cfg in configs]
+    # popped, so that each problem is released when its run returns
+    results = [(run_id, _run_built(cfg, *built.pop(0), out_dir)) for run_id, cfg in zip(run_ids, configs)]
     write_svg(render_comparison([(run_id, t.oracle_calls, t.f_values) for run_id, t in results]), out_path)
     return results
 

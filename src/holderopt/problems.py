@@ -13,7 +13,7 @@ import copyreg
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -142,20 +142,9 @@ class MinMaxProblem:
         return self.loss(x, y), np.asarray(self.grad_x(x, y), dtype=float)
 
 
-class ProblemTraits(NamedTuple):
-    """What a problem id says of its problem before the problem is built, under :class:`MinMaxProblem`'s
-    field names: its sense, ``True`` for each inner oracle it sets and None for one it leaves unset,
-    and its certificate."""
-
-    sense: str
-    best_response: Optional[bool]
-    approx_response: Optional[bool]
-    certificate: Optional[HolderCertificate]
-
-
 # What each driver needs of its problem: a sense, None taking either, and an inner oracle. Each
-# driver checks its problem against its own entry when it is called; the harness checks every
-# run's problem id against the same entry before a comparison's first run.
+# driver checks its problem against its own entry when it is called; a comparison checks every
+# run's built problem against the same entry before its first run.
 _NEEDS = {
     "minmax_backtrack": ("min-max", "best_response"),
     "minmin_backtrack_nonmonotone": ("min-min", "best_response"),
@@ -167,8 +156,8 @@ _NEEDS = {
 
 
 def _require(problem, who: str) -> None:
-    """Raise ValueError naming ``who`` unless ``problem``, a :class:`MinMaxProblem` or the
-    :class:`ProblemTraits` of one, has the sense and sets the oracle that ``_NEEDS[who]`` names."""
+    """Raise ValueError naming ``who`` unless the :class:`MinMaxProblem` ``problem`` has the sense and
+    sets the oracle that ``_NEEDS[who]`` names."""
     sense, oracle = _NEEDS[who]
     if sense is not None and problem.sense != sense:
         raise ValueError(f"{who} expects a {sense} problem, got {problem.sense}")
@@ -295,28 +284,19 @@ def make_quadratic_minmin(dim: int) -> MinMaxProblem:
     )
 
 
-# what each analytic family's id says of the problems its maker builds
-_FAMILY_TRAITS = {
-    "sqrt": ProblemTraits("min-max", True, True, HolderCertificate(beta=1.0, nu=0.5)),
-    "quadratic_saddle": ProblemTraits("min-max", True, True, HolderCertificate(beta=1.0, nu=1.0)),
-    "quadratic_minmin": ProblemTraits("min-min", True, None, HolderCertificate(beta=0.5, nu=1.0)),
-}
-
-
-def _parse_problem_id(problem_id) -> tuple[Callable[[], MinMaxProblem], ProblemTraits]:
-    """The maker of the analytic problem an id names, its dimension bound, and the problem's traits;
-    builds nothing. Ids: ``sqrt``, ``quadratic_saddle:D`` and ``quadratic_minmin:D``, D a positive decimal
-    integer with no sign, space or leading zero, so one id names one problem. Any other id, a non-str one
-    included, raises KeyError."""
+def _parse_problem_id(problem_id) -> Callable[[], MinMaxProblem]:
+    """The maker of the analytic problem an id names, its dimension bound; builds nothing. Ids: ``sqrt``,
+    ``quadratic_saddle:D`` and ``quadratic_minmin:D``, D a positive decimal integer with no sign, space or
+    leading zero, so one id names one problem. Any other id, a non-str one included, raises KeyError."""
     if isinstance(problem_id, str):
         if problem_id == "sqrt":
-            return make_sqrt_problem, _FAMILY_TRAITS["sqrt"]
+            return make_sqrt_problem
         head, _, tail = problem_id.partition(":")
         if head in ("quadratic_saddle", "quadratic_minmin") and tail:
             if not tail.isdecimal() or str(int(tail)) != tail or tail == "0":
                 raise KeyError(f"bad dimension in problem id {problem_id!r}")
             maker = make_quadratic_saddle if head == "quadratic_saddle" else make_quadratic_minmin
-            return (lambda: maker(int(tail))), _FAMILY_TRAITS[head]
+            return lambda: maker(int(tail))
     raise KeyError(
         f"unknown problem id {problem_id!r}; expected 'sqrt', 'quadratic_saddle:D', "
         "'quadratic_minmin:D' (the sinkhorn_gan problem is built by the harness)"
@@ -325,7 +305,7 @@ def _parse_problem_id(problem_id) -> tuple[Callable[[], MinMaxProblem], ProblemT
 
 def get_problem(problem_id: str) -> MinMaxProblem:
     """Build the analytic problem an id names; the harness builds ``sinkhorn_gan``, which needs data and a seed."""
-    return _parse_problem_id(problem_id)[0]()
+    return _parse_problem_id(problem_id)()
 
 
 def finite_diff_gradient(f, x, h: float = 1e-6) -> Array:

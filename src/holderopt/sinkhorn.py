@@ -131,9 +131,11 @@ def _half_sweep(potential, C, epsilon, work, axis: int) -> np.ndarray:
 
 
 def entropic_objective(plan, cost, epsilon: float) -> float:
-    """<P, C> + eps * sum P log P with the 0 log 0 = 0 convention."""
+    """<P, C> + eps * sum P log P with the 0 log 0 = 0 convention; P and C must have one shape."""
     P = np.asarray(plan, dtype=float)
     C = np.asarray(cost, dtype=float)
+    if P.shape != C.shape:
+        raise ValueError(f"plan shape {P.shape} does not match cost shape {C.shape}")
     log_p = np.log(P, out=np.zeros_like(P), where=P > 0)
     return float(np.sum(P * C) + epsilon * np.sum(P * log_p))
 

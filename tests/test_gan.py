@@ -1,6 +1,7 @@
 """Dense generator forward/backward passes and the transport fitting objective."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -182,6 +183,22 @@ def test_pairwise_distances_in_three_dimensions():
     Y = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
     X = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, -2.0]])
     np.testing.assert_array_equal(pairwise_distances(Y, X), [[0.0, 3.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "Y, X",
+    [
+        (np.zeros((2, 2)), [[0, 0, 5], [3, 4, 0]]),  # X's third coordinate would be dropped
+        ([[0, 0, 5], [3, 4, 0]], np.zeros((2, 2))),
+        (np.zeros(2), np.zeros((2, 2))),
+        (np.zeros((2, 2)), np.zeros((2, 2, 1))),
+    ],
+    ids=["wider-x", "wider-y", "1-d-y", "3-d-x"],
+)
+def test_pairwise_distances_refuse_clouds_that_are_not_2d_or_of_one_width(Y, X):
+    shapes = f"{np.shape(Y)} and {np.shape(X)}"
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        pairwise_distances(Y, X)
 
 
 def make_small_gan(n=6, eps=0.5):

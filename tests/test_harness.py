@@ -507,25 +507,12 @@ def test_compare_and_plot_rejects_repeated_run_ids(tmp_path):
     assert not (tmp_path / "c.svg").exists()
 
 
-@pytest.mark.parametrize("problem", ["sqrt", "quadratic_saddle:3", "quadratic_minmin:3", "sinkhorn_gan"])
-def test_problem_traits_describe_the_built_problem(problem):
-    built, _ = build_problem(ExperimentConfig(problem=problem, sample_size=4))
-    traits = harness._GAN_TRAITS if problem == "sinkhorn_gan" else problems_module._parse_problem_id(problem)[1]
-    set_or_none = lambda oracle: None if oracle is None else True
-    assert traits == (
-        built.sense,
-        set_or_none(built.best_response),
-        set_or_none(built.approx_response),
-        built.certificate,
-    )
-
-
 @pytest.mark.parametrize("algorithm", ["constant:0.1" if a == "constant" else a for a in ALGORITHMS])
 @pytest.mark.parametrize("problem", ["sqrt", "quadratic_saddle:2", "quadratic_minmin:2", "sinkhorn_gan"])
-def test_comparison_refuses_before_any_run_what_a_driver_refuses(problem, algorithm, tmp_path):
+def test_comparison_refuses_before_any_run_what_a_driver_refuses(problem, algorithm, tmp_path, monkeypatch):
     """compare_and_plot refuses a config exactly when the run's own driver refuses its problem, with
-    the driver's message, and before it runs or writes anything, a fixed step that every problem takes
-    included."""
+    the driver's message, and before it calls an oracle or writes anything, a fixed step that every
+    problem takes included. An accepted comparison builds each config's problem once, in input order."""
     cfg, first = (
         ExperimentConfig(problem=problem, algorithm=a, sample_size=4, stop=StopRule(max_oracle_calls=1))
         for a in (algorithm, "constant:0.2")
@@ -535,12 +522,28 @@ def test_comparison_refuses_before_any_run_what_a_driver_refuses(problem, algori
         refusal = None
     except ValueError as exc:
         refusal = str(exc)
+    built, oracle_calls = [], []
+    build = harness.build_problem
+
+    def counting_build(config):
+        problem, x0 = build(config)
+        built.append(config)
+        for name in ("best_response", "approx_response", "loss", "grad_x"):
+            fn = getattr(problem, name)
+            if fn is not None:
+                setattr(problem, name, lambda *args, fn=fn, name=name: oracle_calls.append(name) or fn(*args))
+        return problem, x0
+
+    monkeypatch.setattr(harness, "build_problem", counting_build)
     out_dir = tmp_path / "runs"
     try:
         compare_and_plot([first, cfg], tmp_path / "c.svg", out_dir=out_dir)
         assert refusal is None
+        assert [id(c) for c in built] == [id(first), id(cfg)]
+        assert oracle_calls
     except ValueError as exc:
         assert str(exc) == refusal
+        assert not oracle_calls
         assert not out_dir.exists()
 
 

@@ -5,6 +5,7 @@ import functools
 import itertools
 import multiprocessing
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,13 @@ def test_large_epsilon_spreads_the_plan():
 def test_objective_zero_log_zero_convention():
     plan = np.eye(2)
     assert entropic_objective(plan, SWAP2, 0.1) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (3,), (3, 1), (9,)], ids=lambda shape: "x".join(map(str, shape)))
+def test_objective_refuses_a_plan_of_another_shape(shape):
+    """A plan that would broadcast against the cost is refused, not summed as if it were 3 x 3."""
+    with pytest.raises(ValueError, match=re.escape(f"plan shape {shape} does not match cost shape (3, 3)")):
+        entropic_objective(np.ones(shape), np.ones((3, 3)), 0.1)
 
 
 def test_cost_validation():
