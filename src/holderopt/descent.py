@@ -364,10 +364,17 @@ def _descend(obj, x0, stop, step_fn, params=None, header=CSV_HEADER, *, nonmonot
             gn, status = _checked_norm(value, grad, shape, n), ORACLE_BUDGET
 
 
-def _require_certificate(cert) -> None:
-    """Raise ValueError unless ``cert`` is a :class:`HolderCertificate`, which :func:`holder_gd` needs."""
+def _holder_gamma(cert, gamma: Optional[float]) -> float:
+    """The step scale :func:`holder_gd` steps with: ``gamma``, or :func:`optimal_holder_gamma` when it is
+    None. Raises ValueError unless ``cert`` is a :class:`HolderCertificate` and the scale lies in
+    (0, (nu+1)/beta), so that a bad range fails before any oracle call."""
     if not isinstance(cert, HolderCertificate):
         raise ValueError(f"holder_gd needs a smoothness certificate, got {cert!r}")
+    if gamma is None:
+        gamma = optimal_holder_gamma(cert)
+    _require_positive("gamma", gamma)
+    holder_step(1.0, cert, gamma)
+    return gamma
 
 
 def holder_gd(
@@ -383,12 +390,7 @@ def holder_gd(
     global bound, as the caller asserts it; nothing checks it against ``obj``.
     One oracle call per iteration; records carry k = 0.
     """
-    _require_certificate(cert)
-    if gamma is None:
-        gamma = optimal_holder_gamma(cert)
-    # validate gamma once up front so a bad range fails before any oracle call
-    _require_positive("gamma", gamma)
-    holder_step(1.0, cert, gamma)
+    gamma = _holder_gamma(cert, gamma)
     return _descend(obj, x0, stop, lambda k, gn: holder_step(gn, cert, gamma))
 
 

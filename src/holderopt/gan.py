@@ -159,8 +159,9 @@ class _Kept:
 class GanObjective:
     """Entropic transport divergence between generated and data points.
 
-    ``latents`` has shape (n, widths[0]) and ``data`` (n, widths[-1]); the cost
-    matrix must be square because both clouds carry unit weights per point.
+    ``latents`` has shape (n, widths[0]) and ``data`` (n, widths[-1]), both
+    finite; the cost matrix must be square because both clouds carry unit
+    weights per point.
 
     ``best_response``, ``loss`` and ``grad_x`` are the oracles of
     :func:`as_minmin_problem`. They share what is kept at the last two
@@ -221,6 +222,9 @@ class GanObjective:
                 f"need equally many latents and data points, got {self.latents.shape[0]} "
                 f"and {self.data.shape[0]}"
             )
+        for name in ("latents", "data"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         _require_positive("epsilon", self.epsilon)
         _require_positive("sinkhorn_tol", self.sinkhorn_tol)
         self._kept = []

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import problems as _problems
-from .descent import BacktrackParams, StopRule, _require_certificate, holder_gd
+from .descent import BacktrackParams, StopRule, _holder_gamma, holder_gd
 from .gan import GanObjective, MlpSpec, as_minmin_problem, init_params, mlp_forward, pairwise_distances
 from .minimax import (
     InnerAscentBudget,
@@ -166,11 +166,12 @@ def build_problem(config: ExperimentConfig):
 
 def _build_runnable(config: ExperimentConfig):
     """``build_problem(config)``, refused with the ValueError that the config's driver would raise of
-    the problem: a sense, an inner oracle or a certificate that the problem lacks."""
+    the problem: a sense, an inner oracle or a certificate that the problem lacks, or, for
+    ``holder_known``, a step scale outside the range that the problem's certificate allows."""
     problem, x0 = build_problem(config)
     _require(problem, _DRIVER_NEEDS[config.algorithm])
     if config.algorithm == "holder_known":
-        _require_certificate(problem.certificate)
+        _holder_gamma(problem.certificate, config.gamma)
     return problem, x0
 
 
@@ -220,28 +221,32 @@ def compare_and_plot(configs, out_path, out_dir=None):
 
 # --- flat key = value config files -------------------------------------------
 
+# config key -> (parser of its text, part, field): the key sets ``field`` of ExperimentConfig when
+# ``part`` is None, else of the config's BacktrackParams, StopRule or InnerAscentBudget
 _CONFIG_KEYS = {
-    "problem": str,
-    "algorithm": str,
-    "seed": int,
-    "gamma": float,
-    "alpha": float,
-    "delta": float,
-    "delta_plus": float,
-    "rho": float,
-    "k_max": int,
-    "grad_tol": float,
-    "max_iters": int,
-    "max_oracle_calls": int,
-    "sample_size": int,
-    "epsilon": float,
-    "sinkhorn_tol": float,
-    "x0": "vector",
-    "inner_steps": int,
-    "inner_step_size": float,
+    "problem": (str, None, "problem"),
+    "algorithm": (str, None, "algorithm"),
+    "seed": (int, None, "seed"),
+    "gamma": (float, None, "gamma"),
+    "alpha": (float, "params", "alpha"),
+    "delta": (float, "params", "delta"),
+    "delta_plus": (float, "params", "delta_plus"),
+    "rho": (float, "params", "rho"),
+    "k_max": (int, "params", "k_max"),
+    "grad_tol": (float, "stop", "grad_tol"),
+    "max_iters": (int, "stop", "max_iters"),
+    "max_oracle_calls": (int, "stop", "max_oracle_calls"),
+    "sample_size": (int, None, "sample_size"),
+    "epsilon": (float, None, "epsilon"),
+    "sinkhorn_tol": (float, None, "sinkhorn_tol"),
+    "x0": (lambda text: np.array([float(v) for v in text.split(",")]), None, "x0"),
+    "inner_steps": (int, "inner", "steps"),
+    "inner_step_size": (float, "inner", "step_size"),
 }
-# config key -> InnerAscentBudget field
-_INNER_FIELDS = {"inner_steps": "steps", "inner_step_size": "step_size"}
+
+
+def _unknown_key(key) -> ValueError:
+    return ValueError(f"unknown key {key!r}; valid keys: {', '.join(sorted(_CONFIG_KEYS))}")
 
 
 def parse_config_text(text: str) -> dict:
@@ -257,50 +262,42 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         val = val.strip()
         if key not in _CONFIG_KEYS:
-            raise ValueError(
-                f"line {lineno}: unknown key {key!r}; valid keys: {', '.join(sorted(_CONFIG_KEYS))}"
-            )
+            raise ValueError(f"line {lineno}: {_unknown_key(key)}")
         if key in lines:
             raise ValueError(f"line {lineno}: key {key!r} repeats line {lines[key]}")
         lines[key] = lineno
-        kind = _CONFIG_KEYS[key]
         try:
-            if kind == "vector":
-                values[key] = np.array([float(v) for v in val.split(",")])
-            else:
-                values[key] = kind(val)
+            values[key] = _CONFIG_KEYS[key][0](val)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key}: {exc}") from exc
     return values
 
 
 def config_from_values(values: dict) -> ExperimentConfig:
-    """Assemble an ExperimentConfig from parsed key/value pairs; unset keys
-    keep the dataclass defaults, and ``gamma`` also sets ``params.gamma``.
+    """Assemble an ExperimentConfig from parsed key/value pairs, each key set where ``_CONFIG_KEYS``
+    routes it; ``gamma`` also sets ``params.gamma``, unset keys keep the dataclass defaults, and a key
+    that ``_CONFIG_KEYS`` does not name raises ValueError.
 
     A ``sinkhorn_gan`` config that sets neither ``max_iters`` nor
     ``max_oracle_calls`` stops after ``GAN_ORACLE_BUDGET`` oracle calls.
     """
-
-    def pick(*keys):
-        return {key: values[key] for key in keys if key in values}
-
-    params = BacktrackParams(**pick("gamma", "alpha", "delta", "delta_plus", "rho", "k_max"))
-    stop_fields = pick("grad_tol", "max_iters", "max_oracle_calls")
-    if values.get("problem") == "sinkhorn_gan" and not {"max_iters", "max_oracle_calls"} & stop_fields.keys():
-        stop_fields["max_oracle_calls"] = GAN_ORACLE_BUDGET
-    inner_fields = {field: values[key] for key, field in _INNER_FIELDS.items() if key in values}
-    return ExperimentConfig(
-        **pick("problem", "algorithm", "seed", "gamma", "sample_size", "epsilon", "sinkhorn_tol", "x0"),
-        params=params,
-        stop=StopRule(**stop_fields),
-        inner=InnerAscentBudget(**inner_fields),
-    )
+    parts = {None: {}, "params": {}, "stop": {}, "inner": {}}
+    for key, value in values.items():
+        if key not in _CONFIG_KEYS:
+            raise _unknown_key(key)
+        _, part, name = _CONFIG_KEYS[key]
+        parts[part][name] = value
+    if "gamma" in values:
+        parts["params"]["gamma"] = values["gamma"]
+    if values.get("problem") == "sinkhorn_gan" and not {"max_iters", "max_oracle_calls"} & parts["stop"].keys():
+        parts["stop"]["max_oracle_calls"] = GAN_ORACLE_BUDGET
+    nested = {"params": BacktrackParams, "stop": StopRule, "inner": InnerAscentBudget}
+    return ExperimentConfig(**parts[None], **{part: cls(**parts[part]) for part, cls in nested.items()})
 
 
 def load_config(path=None, **overrides) -> ExperimentConfig:
     """Read a config file, or none when ``path`` is None, and apply the keyword overrides that are not
-    None (e.g. from CLI flags)."""
+    None (e.g. from CLI flags), each named by its config key; an unknown key raises ValueError."""
     values = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:

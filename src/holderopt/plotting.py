@@ -89,7 +89,7 @@ def _text(x, y, size, body, attrs="") -> str:
 def render_comparison(curves) -> str:
     """Render one polyline per curve plus axes and a legend.
 
-    ``curves`` is a sequence of (label, x, y) with equal-length 1-d arrays;
+    ``curves`` is a sequence of (label, x, y) with equal-length, finite 1-d arrays;
     the axes are labelled "oracle calls" (x) and "objective" (y). The y axis
     is a log scale exactly when every y is positive. Returns the SVG document
     text.
@@ -102,6 +102,9 @@ def render_comparison(curves) -> str:
         y = np.asarray(y, dtype=float)
         if x.size == 0 or x.size != y.size:
             raise ValueError(f"curve {label!r} needs matching nonempty x and y")
+        # a NaN would put every point at nan and an infinity would overflow a tick
+        if x.ndim != 1 or y.ndim != 1 or not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError(f"curve {label!r} needs finite 1-d x and y")
         named.append((str(label), x, y))
 
     xs = np.concatenate([c[1] for c in named])

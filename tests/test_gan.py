@@ -225,6 +225,16 @@ def test_gan_objective_validation():
             GanObjective(spec, good, good, epsilon=0.1, sinkhorn_tol=tol)
 
 
+@pytest.mark.parametrize("name", ["latents", "data"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_gan_objective_refuses_non_finite_clouds(name, value):
+    """A non-finite point would make every plan NaN, and the drivers would blame the oracle: refused by name."""
+    clouds = {"latents": np.zeros((4, 2)), "data": np.ones((4, 2))}
+    clouds[name][2, 1] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        GanObjective(MlpSpec((2, 3, 2)), epsilon=0.1, **clouds)
+
+
 def test_envelope_gradient_matches_finite_differences():
     """The plan-weighted gradient is the total derivative of the divergence."""
     gan = make_small_gan()

@@ -162,7 +162,8 @@ def test_transport_fields_are_refused_at_construction(field, value):
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0, True, "0.1"])
 def test_gamma_is_refused_at_construction(algorithm, value):
     """A set gamma is refused by name before any run; holder_known's range, which
-    needs the problem's certificate, is still checked when the run starts."""
+    needs the problem's certificate, is checked once the problem is built, before
+    the run, or a comparison's first run, starts."""
     with pytest.raises(ValueError, match=f"^gamma must be positive and finite, got {value}$"):
         ExperimentConfig(algorithm=algorithm, gamma=value)
 
@@ -275,6 +276,16 @@ def test_gan_config_without_a_bound_gets_the_comparison_budget():
     assert bounded.stop.max_oracle_calls == StopRule().max_oracle_calls
     assert config_from_values({"problem": "sqrt"}).stop == StopRule()
     assert ExperimentConfig(problem="sinkhorn_gan").stop == StopRule()
+
+
+@pytest.mark.parametrize("key", ["max_oracle_call", "inner_step", "gama"])
+def test_an_unknown_key_is_refused_by_name(key):
+    """A key that sets no config field is refused, not dropped: a misspelled budget would leave the default."""
+    match = f"^unknown key '{key}'; valid keys: algorithm, alpha, "
+    with pytest.raises(ValueError, match=match):
+        config_from_values({"problem": "sqrt", key: 5})
+    with pytest.raises(ValueError, match=match):
+        load_config(None, **{key: 5})
 
 
 def test_load_config_with_overrides(tmp_path):
@@ -479,6 +490,20 @@ def test_render_comparison_returns_for_any_finite_curves(x, y):
 
 
 @pytest.mark.parametrize(
+    "x, y",
+    [([0, 1, 2], [1.0, math.nan, 2.0]), ([0, 1], [1.0, math.inf]), ([0, -math.inf], [1.0, 2.0]), ([[0, 1]], [[1, 2]])],
+    ids=["nan", "inf", "infinite-x", "2-d"],
+)
+def test_render_comparison_refuses_a_non_finite_or_multi_dimensional_curve(x, y):
+    """A NaN would draw every point at nan, an infinity would overflow and a 2-d array would fail
+    on its rows: each curve is refused by its label instead."""
+    from holderopt.plotting import render_comparison
+
+    with pytest.raises(ValueError, match=r"^curve 'b' needs finite 1-d x and y$"):
+        render_comparison([("a", [0, 1], [1.0, 2.0]), ("b", x, y)])
+
+
+@pytest.mark.parametrize(
     "stop, digest",
     [
         (StopRule(max_iters=5), "b5967c6ea9f2e9de4009b57e4756ff3e4b90e1e4a24a2b6d426a5653a3fac49a"),
@@ -507,6 +532,25 @@ def test_compare_and_plot_rejects_repeated_run_ids(tmp_path):
     assert not (tmp_path / "c.svg").exists()
 
 
+def _count_builds_and_oracle_calls(monkeypatch):
+    """Lists that fill, from here on, with each config that harness builds a problem for and with the
+    name of each oracle that such a problem is asked."""
+    built, oracle_calls = [], []
+    build = harness.build_problem
+
+    def counting_build(config):
+        problem, x0 = build(config)
+        built.append(config)
+        for name in ("best_response", "approx_response", "loss", "grad_x"):
+            fn = getattr(problem, name)
+            if fn is not None:
+                setattr(problem, name, lambda *args, fn=fn, name=name: oracle_calls.append(name) or fn(*args))
+        return problem, x0
+
+    monkeypatch.setattr(harness, "build_problem", counting_build)
+    return built, oracle_calls
+
+
 @pytest.mark.parametrize("algorithm", ["constant:0.1" if a == "constant" else a for a in ALGORITHMS])
 @pytest.mark.parametrize("problem", ["sqrt", "quadratic_saddle:2", "quadratic_minmin:2", "sinkhorn_gan"])
 def test_comparison_refuses_before_any_run_what_a_driver_refuses(problem, algorithm, tmp_path, monkeypatch):
@@ -522,19 +566,7 @@ def test_comparison_refuses_before_any_run_what_a_driver_refuses(problem, algori
         refusal = None
     except ValueError as exc:
         refusal = str(exc)
-    built, oracle_calls = [], []
-    build = harness.build_problem
-
-    def counting_build(config):
-        problem, x0 = build(config)
-        built.append(config)
-        for name in ("best_response", "approx_response", "loss", "grad_x"):
-            fn = getattr(problem, name)
-            if fn is not None:
-                setattr(problem, name, lambda *args, fn=fn, name=name: oracle_calls.append(name) or fn(*args))
-        return problem, x0
-
-    monkeypatch.setattr(harness, "build_problem", counting_build)
+    built, oracle_calls = _count_builds_and_oracle_calls(monkeypatch)
     out_dir = tmp_path / "runs"
     try:
         compare_and_plot([first, cfg], tmp_path / "c.svg", out_dir=out_dir)
@@ -545,6 +577,26 @@ def test_comparison_refuses_before_any_run_what_a_driver_refuses(problem, algori
         assert str(exc) == refusal
         assert not oracle_calls
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("gamma", [4.0, 5.0])
+@pytest.mark.parametrize("problem", ["sqrt", "quadratic_saddle:2", "quadratic_minmin:2"])
+def test_comparison_refuses_a_known_constants_step_outside_its_range(problem, gamma, tmp_path, monkeypatch):
+    """holder_known's gamma must lie in (0, (nu+1)/beta) for the problem's certificate: 1.5, 2 and 4 here,
+    the end excluded. A comparison refuses one outside with holder_gd's own message, before the fixed step
+    ahead of it calls an oracle, and writes nothing."""
+    first = ExperimentConfig(problem=problem, algorithm="constant:0.2")
+    cfg = ExperimentConfig(problem=problem, algorithm="holder_known", gamma=gamma)
+    with pytest.raises(ValueError, match=r"^gamma must lie in \(0, ") as direct:
+        run_experiment(cfg)
+    _, oracle_calls = _count_builds_and_oracle_calls(monkeypatch)
+    out_dir = tmp_path / "runs"
+    with pytest.raises(ValueError) as refused:
+        compare_and_plot([first, cfg], tmp_path / "c.svg", out_dir=out_dir)
+    assert str(refused.value) == str(direct.value)
+    assert not oracle_calls
+    assert not out_dir.exists()
+    assert not (tmp_path / "c.svg").exists()
 
 
 # --------------------------------------------------------------------- cli
@@ -617,6 +669,17 @@ def test_cli_gan_comparison_without_a_certificate_makes_no_solve(tmp_path, capsy
     assert main(["--config", str(path), "--algo", "nonmonotone_holder,holder_known", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: holder_gd needs a smoothness certificate, got None\n"
     assert solves == []
+    assert not out.exists()
+
+
+def test_cli_comparison_with_a_known_constants_step_out_of_range_writes_nothing(tmp_path, capsys):
+    """gamma = 5 lies past sqrt's (nu+1)/beta = 1.5: refused before backtrack_holder runs, so no CSV is written."""
+    path = tmp_path / "exp.cfg"
+    path.write_text("gamma = 5\n")
+    out = tmp_path / "runs"
+    argv = ["--config", str(path), "--problem", "sqrt", "--algo", "backtrack_holder,holder_known", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: gamma must lie in (0, 1.5), got 5.0\n"
     assert not out.exists()
 
 
