@@ -32,28 +32,25 @@ from .problems import ValueFunctionView, _require, _require_count, _require_posi
 from .rng import STREAM_DATA, STREAM_LATENT, RandomStream, _require_u64
 
 
-# algorithm -> run(problem, x0, config). Each run looks its driver up among this module's
-# globals when it is called: perfbench/tracing.py times a driver by replacing its name here,
-# and a table of the driver functions themselves would keep running the originals.
+# algorithm -> (the entry in problems._NEEDS of the driver it runs, run(problem, x0, config)); holder_known
+# also needs the problem's certificate, which it hands to holder_gd. Each run looks its driver up among this
+# module's globals when it is called: perfbench/tracing.py times a driver by replacing its name here, and a
+# table of the driver functions themselves would keep running the originals.
 _RUNS = {
-    "holder_known": lambda p, x0, c: holder_gd(ValueFunctionView(p), x0, p.certificate, c.gamma, c.stop),
-    "backtrack_holder": lambda p, x0, c: minmax_backtrack(p, x0, c.params, c.stop),
-    "nonmonotone_holder": lambda p, x0, c: minmin_backtrack_nonmonotone(p, x0, c.params, c.stop),
-    "nonmonotone_armijo": lambda p, x0, c: minmin_armijo_nonmonotone(p, x0, c.params, c.stop),
-    "heuristic_minmax": lambda p, x0, c: minmax_heuristic(p, x0, c.params, c.inner, c.stop),
-    "constant": lambda p, x0, c: minmax_constant(p, x0, c.gamma, c.stop),
+    "holder_known": (
+        "value function view", lambda p, x0, c: holder_gd(ValueFunctionView(p), x0, p.certificate, c.gamma, c.stop)
+    ),
+    "backtrack_holder": ("minmax_backtrack", lambda p, x0, c: minmax_backtrack(p, x0, c.params, c.stop)),
+    "nonmonotone_holder": (
+        "minmin_backtrack_nonmonotone", lambda p, x0, c: minmin_backtrack_nonmonotone(p, x0, c.params, c.stop)
+    ),
+    "nonmonotone_armijo": (
+        "minmin_armijo_nonmonotone", lambda p, x0, c: minmin_armijo_nonmonotone(p, x0, c.params, c.stop)
+    ),
+    "heuristic_minmax": ("minmax_heuristic", lambda p, x0, c: minmax_heuristic(p, x0, c.params, c.inner, c.stop)),
+    "constant": ("minmax_constant", lambda p, x0, c: minmax_constant(p, x0, c.gamma, c.stop)),
 }
 ALGORITHMS = tuple(_RUNS)
-# algorithm -> the entry in problems._NEEDS of the driver it runs; holder_known also needs the
-# problem's certificate, which it hands to holder_gd
-_DRIVER_NEEDS = {
-    "holder_known": "value function view",
-    "backtrack_holder": "minmax_backtrack",
-    "nonmonotone_holder": "minmin_backtrack_nonmonotone",
-    "nonmonotone_armijo": "minmin_armijo_nonmonotone",
-    "heuristic_minmax": "minmax_heuristic",
-    "constant": "minmax_constant",
-}
 
 GENERATOR_WIDTHS = (2, 64, 32, 16, 2)
 # the paper's comparison budget, for a sinkhorn_gan config that sets no bound:
@@ -166,10 +163,11 @@ def build_problem(config: ExperimentConfig):
 
 def _build_runnable(config: ExperimentConfig):
     """``build_problem(config)``, refused with the ValueError that the config's driver would raise of
-    the problem: a sense, an inner oracle or a certificate that the problem lacks, or, for
-    ``holder_known``, a step scale outside the range that the problem's certificate allows."""
+    the problem: a sense or an inner oracle that the problem lacks, as the driver's ``problems._NEEDS``
+    entry named in ``_RUNS`` states, or, for ``holder_known``, a certificate that it lacks or a step
+    scale outside the range that its certificate allows."""
     problem, x0 = build_problem(config)
-    _require(problem, _DRIVER_NEEDS[config.algorithm])
+    _require(problem, _RUNS[config.algorithm][0])
     if config.algorithm == "holder_known":
         _holder_gamma(problem.certificate, config.gamma)
     return problem, x0
@@ -177,7 +175,7 @@ def _build_runnable(config: ExperimentConfig):
 
 def _run_built(config: ExperimentConfig, problem, x0, out_dir):
     """Run ``config``'s driver on its built problem from ``x0``; write the CSV into ``out_dir`` if given."""
-    traj = _RUNS[config.algorithm](problem, x0, config)
+    traj = _RUNS[config.algorithm][1](problem, x0, config)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         traj.to_csv(os.path.join(out_dir, config.run_id() + ".csv"))
@@ -204,7 +202,8 @@ def compare_and_plot(configs, out_path, out_dir=None):
     Before the first run, and before ``out_dir`` is made, the run ids must differ,
     and every config's problem is built, once, and checked with the error its driver
     would raise of it. Each run then uses the problem built for it, which is
-    released when the run returns.
+    released when the run returns. The SVG's directory is made if it is missing,
+    after the last run and just before the SVG is written.
     """
     configs = list(configs)
     if not configs:
@@ -215,7 +214,9 @@ def compare_and_plot(configs, out_path, out_dir=None):
     built = [_build_runnable(cfg) for cfg in configs]
     # popped, so that each problem is released when its run returns
     results = [(run_id, _run_built(cfg, *built.pop(0), out_dir)) for run_id, cfg in zip(run_ids, configs)]
-    write_svg(render_comparison([(run_id, t.oracle_calls, t.f_values) for run_id, t in results]), out_path)
+    svg = render_comparison([(run_id, t.oracle_calls, t.f_values) for run_id, t in results])
+    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
+    write_svg(svg, out_path)
     return results
 
 

@@ -3,7 +3,8 @@
 Every driver minimizes the value function g(x) = L(x, y*(x)) while only ever
 calling the problem's inner oracle; one oracle call is one unit of
 ``oracle_calls`` regardless of how much work the inner solve does. Every driver checks its
-problem's sense and oracle against its entry in ``holderopt.problems._NEEDS`` and is then one call of the
+problem's sense and oracle against its entry in ``holderopt.problems._NEEDS``, the entry that
+``holderopt.harness._RUNS`` names beside each algorithm that runs the driver, and is then one call of the
 descent loop of :mod:`holderopt.descent`, which checks the start once with ``start_point`` and
 returns the :class:`holderopt.descent.Trajectory`, whose CSV carries :data:`MINMAX_CSV_HEADER`.
 The exact-oracle drivers evaluate through the problem's ``value_and_grad``,

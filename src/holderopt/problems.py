@@ -144,7 +144,8 @@ class MinMaxProblem:
 
 # What each driver needs of its problem: a sense, None taking either, and an inner oracle. Each
 # driver checks its problem against its own entry when it is called; a comparison checks every
-# run's built problem against the same entry before its first run.
+# run's built problem, before its first run, against the entry that harness._RUNS names beside the
+# run's algorithm.
 _NEEDS = {
     "minmax_backtrack": ("min-max", "best_response"),
     "minmin_backtrack_nonmonotone": ("min-min", "best_response"),

@@ -504,6 +504,22 @@ def test_render_comparison_refuses_a_non_finite_or_multi_dimensional_curve(x, y)
 
 
 @pytest.mark.parametrize(
+    "curves, message",
+    [
+        ([], "need at least one curve"),
+        ([("a", [0, 1, 2], [1.0, 2.0])], "curve 'a' needs matching nonempty x and y"),
+        ([("a", [], [])], "curve 'a' needs matching nonempty x and y"),
+    ],
+    ids=["no-curve", "sizes-differ", "empty"],
+)
+def test_render_comparison_refuses_no_curve_and_a_curve_without_matching_points(curves, message):
+    from holderopt.plotting import render_comparison
+
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        render_comparison(curves)
+
+
+@pytest.mark.parametrize(
     "stop, digest",
     [
         (StopRule(max_iters=5), "b5967c6ea9f2e9de4009b57e4756ff3e4b90e1e4a24a2b6d426a5653a3fac49a"),
@@ -520,6 +536,22 @@ def test_comparison_svg_bytes_are_pinned(tmp_path, stop, digest):
     f_min = min(traj.f_values.min() for _, traj in results)
     assert (f_min > 0) == (stop.max_iters == 5)
     assert hashlib.sha256((tmp_path / "c.svg").read_bytes()).hexdigest() == digest
+
+
+def test_compare_and_plot_makes_the_svg_directory(tmp_path):
+    """The SVG's directory, missing beforehand, is made after the runs, and the SVG written into it;
+    a comparison refused before its first run does not make it."""
+    algorithms = ("backtrack_holder", "constant:0.4")
+    configs = [ExperimentConfig(problem="quadratic_saddle:2", algorithm=a) for a in algorithms]
+    out_path = tmp_path / "missing" / "deeper" / "c.svg"
+    compare_and_plot(configs, out_path, out_dir=tmp_path / "runs")
+    assert out_path.read_text().startswith("<svg")
+    for cfg in configs:
+        assert (tmp_path / "runs" / (cfg.run_id() + ".csv")).exists()
+    refused = [dataclasses.replace(cfg, problem="quadratic_minmin:2") for cfg in reversed(configs)]
+    with pytest.raises(ValueError, match="^minmax_backtrack expects a min-max problem, got min-min$"):
+        compare_and_plot(refused, tmp_path / "refused" / "c.svg", out_dir=tmp_path / "refused")
+    assert not (tmp_path / "refused").exists()
 
 
 def test_compare_and_plot_rejects_repeated_run_ids(tmp_path):
@@ -740,6 +772,12 @@ def test_cli_step_shorthand_off_constant_exits_2(tmp_path, capsys):
     assert main(["--problem", "sqrt", "--algo", algos, "--out", str(tmp_path)]) == 2
     assert "only constant" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_algo_naming_no_algorithm_exits_2_and_writes_nothing(tmp_path, capsys):
+    assert main(["--algo", ",", "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err == "error: --algo must name at least one algorithm\n"
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_wrong_length_start_exits_2(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from holderopt import (
     BacktrackParams,
     InnerAscentBudget,
+    MinMaxProblem,
     NumericError,
     StopRule,
     ValueFunctionView,
@@ -230,6 +231,22 @@ def test_non_finite_gradient_norm_names_the_iteration(call, iteration, bad):
     with pytest.raises(NumericError) as info:
         minmax_backtrack(prob, [1.0, 0.0], BacktrackParams(gamma=4.0, alpha=0.6))
     assert info.value.iteration == iteration
+
+
+def test_heuristic_non_finite_frozen_loss_names_the_iteration():
+    """The heuristic's search evaluates the frozen loss at each trial without an oracle call: an
+    infinite one fails as an oracle's would, naming the iteration whose search made it."""
+    prob = MinMaxProblem(
+        dim_x=1,
+        dim_y=1,
+        loss=lambda x, y: math.inf if abs(x[0]) >= 10.0 else 0.5 * float(x @ x),
+        grad_x=lambda x, y: x.copy(),
+        approx_response=lambda x, y_warm, budget: x.copy(),
+    )
+    with pytest.raises(NumericError) as info:
+        minmax_heuristic(prob, [5.0], BacktrackParams(gamma=10.0))
+    assert info.value.iteration == 0
+    assert str(info.value) == "oracle returned a non-finite value, gradient or gradient norm (iteration 0)"
 
 
 def test_constant_driver_validation():
